@@ -20,6 +20,7 @@ from repro.circuits.adders import build_rca_circuit
 from repro.circuits.direction_detector import build_direction_detector
 from repro.circuits.multipliers import build_multiplier_circuit
 from repro.netlist.circuit import Circuit
+from repro.obs import trace as obs
 from repro.sim.vectors import WordStimulus
 
 
@@ -58,6 +59,11 @@ def validate_name(name: str) -> str:
 
 def build_named_circuit(name: str) -> Tuple[Circuit, WordStimulus]:
     """Construct a circuit by catalog name; returns it with its stimulus."""
+    with obs.span("circuit.build", circuit=name):
+        return _build_named(name)
+
+
+def _build_named(name: str) -> Tuple[Circuit, WordStimulus]:
     if name.startswith("rca"):
         n = _parse_size(name, "rca")
         circuit, ports = build_rca_circuit(n, with_cin=False)

@@ -41,6 +41,7 @@ from the content-addressed store with zero simulation work.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from typing import List, Sequence, Tuple
@@ -877,18 +878,19 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1995)
     p.add_argument(
         "--delay", default=None, choices=["unit", "sumcarry"],
-        help="event-backend delay model (default: unit)",
+        help="delay model of the glitch-exact backends (default: unit)",
     )
     p.add_argument(
-        "--backend", default="event",
+        "--backend", default="auto",
         choices=[
             "auto", "event", "waveform", "bitparallel", "codegen",
             "vector",
         ],
         help=(
-            "simulation backend: auto picks the fastest glitch-exact "
-            "engine (vector with the [perf] extra, waveform without; "
-            "event-driven when --vcd is given); codegen/vector are the "
+            "simulation backend (default: auto, the fastest glitch-exact "
+            "engine: vector with the [perf] extra, waveform without, "
+            "event-driven when --vcd is given); every glitch-exact "
+            "engine prints the same counts; codegen/vector are the "
             "generated-kernel tiers; bitparallel counts useful "
             "activity only"
         ),
@@ -1189,8 +1191,6 @@ def _finish_observed(args: argparse.Namespace, rec) -> None:
     store — drops a manifest next to the job records in
     ``<cache>/manifests``.
     """
-    import os
-
     from repro.obs import trace as obs
     from repro.obs.manifest import build_manifest, write_manifest
 
@@ -1220,6 +1220,21 @@ def _finish_observed(args: argparse.Namespace, rec) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # surface a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro ... | head``).  The idiom from
+        # the Python docs: point stdout at devnull so the interpreter's
+        # own flush at exit cannot raise again, and exit non-zero
+        # without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Sequence[str] | None) -> int:
     args = make_parser().parse_args(argv)
     observed = (
         getattr(args, "trace", None)

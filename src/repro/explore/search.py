@@ -764,25 +764,25 @@ def explore(
         by_fp_sim: Dict[str, Any] = {}
         by_fp_cand = {c.fingerprint: c for c in candidates}
         for cand, payload in zip(to_simulate, payloads):
+            activity = decode_result(payload, cand.circuit)
             # Per-net result reuse: outside the delta's full fanout
             # cone a child's per-net counts must equal its parent's;
-            # verify and share those rows (the parents simulate first
-            # — `candidates` is in expansion order).
-            parent_payload = (
+            # verify and share those entries (the parents simulate
+            # first — `candidates` is in expansion order).
+            parent_activity = (
                 by_fp_sim.get(cand.parent_fp)
                 if cand.parent_fp is not None else None
             )
-            if cand.delta is not None and parent_payload is not None:
+            if cand.delta is not None and parent_activity is not None:
                 parent_cand = by_fp_cand.get(cand.parent_fp)
                 if parent_cand is not None and parent_cand.circuit is not None:
                     reusable = reusable_result_nets(
                         parent_cand.circuit, cand.delta, cand.circuit
                     )
                     share_per_node_rows(
-                        parent_payload, payload, reusable
+                        parent_activity, activity, reusable
                     )
-            by_fp_sim[cand.fingerprint] = payload
-            activity = decode_result(payload, cand.circuit)
+            by_fp_sim[cand.fingerprint] = activity
             cand.exact = simulated_cost(
                 cand.circuit, activity, delay_model, context, cand.latency
             )

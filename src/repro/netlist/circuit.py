@@ -72,6 +72,7 @@ class Circuit:
         self._anon_cell = 0
         self._version = 0
         self._fingerprint: Tuple[int, str] | None = None
+        self._canonical_order: Tuple[int, Tuple[int, ...]] | None = None
 
     @property
     def version(self) -> int:
@@ -248,6 +249,23 @@ class Circuit:
         digest = circuit_fingerprint(self)
         self._fingerprint = (self._version, digest)
         return digest
+
+    def canonical_order(self) -> Tuple[int, ...]:
+        """Net indices sorted by net name.
+
+        The insertion-order independent net order the fingerprints and
+        the result store's per-net columns use: two builds of the same
+        netlist list the same names in the same order, whatever their
+        index assignment.  Memoized per version, like
+        :meth:`fingerprint`.
+        """
+        cached = self._canonical_order
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
+        nets = self.nets
+        order = tuple(sorted(range(len(nets)), key=lambda i: nets[i].name))
+        self._canonical_order = (self._version, order)
+        return order
 
     # ------------------------------------------------------------------
     # structure queries

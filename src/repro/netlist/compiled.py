@@ -48,7 +48,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.netlist.cells import CellKind, _EVALUATORS
+from repro.netlist.cells import Cell, CellKind, _EVALUATORS
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -942,7 +942,7 @@ def circuit_fingerprint(circuit: "Circuit") -> str:
         "circuit-v1",
         tuple(nets[n].name for n in circuit.inputs),
         tuple(nets[n].name for n in circuit.outputs),
-        tuple(sorted(net.name for net in nets)),
+        tuple(nets[n].name for n in circuit.canonical_order()),
         cells,
     )
     return _digest(doc)
@@ -959,28 +959,58 @@ def delay_fingerprint(
 ) -> str:
     """Stable content hash of a delay model *as applied to* a circuit.
 
-    Hashing the resolved per-cell-output delays (rather than the model
+    Hashing the resolved per-output delays (rather than the model
     object) makes the fingerprint exact for stateful models such as
     :class:`~repro.sim.delays.LoadDelay`, and makes differently-named
-    models that assign identical delays hash identically.  Records are
-    keyed by net names, so the hash is insertion-order independent
-    like :func:`circuit_fingerprint`.
+    models that assign identical delays hash identically.  The delays
+    are listed per net in :meth:`Circuit.canonical_order` (``-1`` for
+    an undriven net, ``0`` for a flipflop output) after the circuit
+    fingerprint, so the hash is insertion-order independent like
+    :func:`circuit_fingerprint` — and it never compiles the circuit:
+    :func:`resolve_out_spec` is the same resolution the compiled
+    ``out_specs`` come from.
     """
     from repro.sim.delays import ZeroDelay
 
     if delay_model is None or isinstance(delay_model, ZeroDelay):
         return ZERO_DELAY_FINGERPRINT
-    cc = compile_circuit(circuit, delay_model)
-    nets = circuit.nets
-    rows = tuple(sorted(
-        (
-            cell.kind.value,
-            tuple(nets[n].name for n in cell.inputs),
-            tuple((nets[out].name, d) for out, d in spec),
-        )
-        for cell, spec in zip(circuit.cells, cc.out_specs)
+    delays = [-1] * len(circuit.nets)
+    for cell in circuit.cells:
+        for out, d in resolve_out_spec(cell, delay_model):
+            delays[out] = d
+    return _digest((
+        "delay-v2",
+        circuit.fingerprint(),
+        tuple([delays[n] for n in circuit.canonical_order()]),
     ))
-    return _digest(("delay-v1", rows))
+
+
+def resolve_out_spec(
+    cell: Cell, delay_model: "DelayModel"
+) -> Tuple[Tuple[int, int], ...]:
+    """``((out_net, delay), ...)`` of one cell under *delay_model*.
+
+    The one place a delay model is applied to a netlist: the compiled
+    ``out_specs`` (:func:`_build`, :func:`_build_delta`) and
+    :func:`delay_fingerprint` both come from here.  A flipflop's
+    output switches at the clock edge, delta time 0.
+    """
+    # Hot on 100k-cell netlists: Cell.is_sequential without the
+    # property call, and the one- and two-output shapes spelled out.
+    outputs = cell.outputs
+    if cell.kind is CellKind.DFF:
+        return ((outputs[0], 0),)
+    if len(outputs) == 1:
+        return ((outputs[0], delay_model.delay(cell, 0)),)
+    if len(outputs) == 2:
+        return (
+            (outputs[0], delay_model.delay(cell, 0)),
+            (outputs[1], delay_model.delay(cell, 1)),
+        )
+    return tuple(
+        (out, delay_model.delay(cell, pos))
+        for pos, out in enumerate(outputs)
+    )
 
 
 def _build(
@@ -1014,13 +1044,8 @@ def _build(
             ff_cells.append(cell.index)
             ff_d.append(cell.inputs[0])
             ff_q.append(cell.outputs[0])
-            if out_specs is not None:
-                out_specs.append(((cell.outputs[0], 0),))
-        elif out_specs is not None:
-            spec = tuple(
-                (out, delay_model.delay(cell, pos))
-                for pos, out in enumerate(cell.outputs)
-            )
+        if out_specs is not None:
+            spec = resolve_out_spec(cell, delay_model)
             out_specs.append(spec)
             for _, d in spec:
                 if d > max_delay:
@@ -1206,16 +1231,11 @@ def _build_delta(
             ff_cells.append(ci)
             ff_d.append(cell.inputs[0])
             ff_q.append(cell.outputs[0])
-            if out_specs is not None:
-                out_specs.append(((cell.outputs[0], 0),))
-        elif out_specs is not None:
+        if out_specs is not None:
             # Delays are re-resolved for every cell, not spliced: a
             # load-dependent model may change an untouched cell's
             # delay when its fanout gained a reader.
-            spec = tuple(
-                (out, delay_model.delay(cell, pos))
-                for pos, out in enumerate(cell.outputs)
-            )
+            spec = resolve_out_spec(cell, delay_model)
             out_specs.append(spec)
             for _, d in spec:
                 if d > max_delay:

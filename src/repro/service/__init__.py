@@ -76,7 +76,7 @@ from repro.service.pool import (
     TaskFailure,
     run_supervised,
 )
-from repro.service.store import StoreWriteWarning
+from repro.service.store import PayloadMismatchError, StoreWriteWarning
 
 __all__ = [
     "ESTIMATE",
@@ -89,6 +89,7 @@ __all__ = [
     "encode_estimate",
     "encode_result",
     "payload_summary",
+    "PayloadMismatchError",
     "cached_estimate",
     "cached_run",
     "configure_default_store",

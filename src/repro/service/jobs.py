@@ -52,6 +52,7 @@ from repro.service.store import (
     encode_result,
     payload_summary,
 )
+from repro.sim.backends import import_before_fork
 from repro.sim.delays import DelayModel, SumCarryDelay, UnitDelay
 from repro.sim.vectors import StimulusSpec, UniformStimulus, stimulus_from_dict
 
@@ -292,7 +293,7 @@ def _compute_point(doc: Dict[str, Any]) -> Dict[str, Any]:
         backend=point.backend,
     )
     result = run.run(point.stimulus.vectors(stim, point.n_vectors + 1))
-    return encode_result(result)
+    return encode_result(result, circuit)
 
 
 @dataclass
@@ -391,7 +392,7 @@ def _simulate_circuit_task(task: "CircuitTask") -> Dict[str, Any]:
         backend=task.backend,
     )
     result = run.run(task.stimulus.vectors(stim, task.n_vectors + 1))
-    return encode_result(result)
+    return encode_result(result, circuit)
 
 
 def _compute_circuit_task(doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -439,7 +440,7 @@ def run_circuit_tasks(
                 delay_model=resolve_delay(task.delay),
                 backend=task.backend,
             )
-            payload = store.get(key)
+            payload = store.get_result(key, circuit)
             if payload is not None:
                 payloads[i] = payload
                 obs.instant(
@@ -472,6 +473,7 @@ def run_circuit_tasks(
     labels = [tasks[i].label for i, _ in unique]
     if processes and processes > 1 and len(unique) > 1:
         docs = [tasks[i].to_dict() for i, _ in unique]
+        import_before_fork({tasks[i].backend for i, _ in unique})
         pool_result = run_supervised(
             _compute_circuit_task, docs,
             processes=min(processes, len(docs)),
@@ -657,13 +659,14 @@ class BatchScheduler:
                 circuit, stim = built
                 if point.estimate:
                     key = estimate_key(circuit, point.stimulus)
+                    payload = self.store.get(key)
                 else:
                     key = run_key(
                         circuit, stim, point.stimulus, point.n_vectors,
                         delay_model=resolve_delay(point.delay),
                         backend=point.backend,
                     )
-                payload = self.store.get(key)
+                    payload = self.store.get_result(key, circuit)
             if payload is None:
                 misses.append((point, key))
             else:
@@ -763,6 +766,7 @@ class BatchScheduler:
         processes = None
         if self.processes and self.processes > 1 and len(docs) > 1:
             processes = min(self.processes, len(docs))
+            import_before_fork({p.backend for p, _ in unique})
         pool_result = run_supervised(
             _compute_point, docs,
             processes=processes, policy=self.policy,

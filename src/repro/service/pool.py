@@ -30,22 +30,26 @@ serialized payload out), a retried task returns a bit-identical
 payload — which is what lets the chaos suite assert that sweeps under
 injected faults equal fault-free runs exactly.
 
-Workers run :func:`_worker_main`: a dispatch loop fed by a dedicated
-pipe per worker (so the supervisor always knows which task a dead
-worker held) reporting into one shared result queue.  Fault-injection
-hooks (:mod:`repro.service.faults`) live in the worker loop, not in
-task functions.
+Workers run :func:`_worker_main`: a dispatch loop on a dedicated
+duplex pipe per worker, which carries both the task in and its report
+out (so the supervisor always knows which task a dead worker held).
+Reports are sent synchronously on the worker's own pipe, with no lock
+or feeder thread shared between workers: a worker that dies at any
+point — even right after reporting — can only break its own pipe,
+never stall the others.  Fault-injection hooks
+(:mod:`repro.service.faults`) live in the worker loop, not in task
+functions.
 """
 
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import queue as queue_mod
+import multiprocessing.connection
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.obs import sampler as obs_sampler
 from repro.obs import trace as obs
@@ -197,12 +201,13 @@ class _TaskState:
         )
 
 
-def _worker_main(worker_id: int, func: Callable, conn, result_q) -> None:
+def _worker_main(worker_id: int, func: Callable, conn) -> None:
     """Dispatch loop for one supervised worker process.
 
-    Receives ``(index, attempt, key, item)`` on its private pipe,
-    reports ``(worker_id, index, attempt, ok, payload_or_error,
-    obs_blob)`` on the shared queue.  Armed worker faults (crash/hang)
+    Receives ``(index, attempt, key, item)`` on its private pipe and
+    reports ``(ok, payload_or_error, obs_blob)`` back on the same pipe;
+    the supervisor sends one task at a time, so a report always answers
+    the last task received.  Armed worker faults (crash/hang)
     fire here — between receipt and execution — so a "crashed" worker
     really does die holding the task, exactly like the failure being
     simulated.  When tracing is armed (``REPRO_TRACE`` propagated from
@@ -240,36 +245,34 @@ def _worker_main(worker_id: int, func: Callable, conn, result_q) -> None:
             break
         except BaseException as exc:  # noqa: BLE001 - reported, not hidden
             try:
-                result_q.put((
-                    worker_id, index, attempt, False,
-                    f"{type(exc).__name__}: {exc}",
+                conn.send((
+                    False, f"{type(exc).__name__}: {exc}",
                     rec.drain_blob() if rec is not None else None,
                 ))
             except (OSError, ValueError):
                 break
         else:
             try:
-                result_q.put((
-                    worker_id, index, attempt, True, payload,
-                    rec.drain_blob() if rec is not None else None,
+                conn.send((
+                    True, payload, rec.drain_blob() if rec is not None else None,
                 ))
             except (OSError, ValueError):
                 break
 
 
 class _Worker:
-    """Supervisor-side handle: process + task pipe + current task."""
+    """Supervisor-side handle: process + duplex pipe + current task."""
 
-    def __init__(self, worker_id: int, func: Callable, result_q) -> None:
+    def __init__(self, worker_id: int, func: Callable) -> None:
         self.id = worker_id
-        recv_end, self.conn = multiprocessing.Pipe(duplex=False)
+        self.conn, child_end = multiprocessing.Pipe()
         self.proc = multiprocessing.Process(
             target=_worker_main,
-            args=(worker_id, func, recv_end, result_q),
+            args=(worker_id, func, child_end),
             daemon=True,
         )
         self.proc.start()
-        recv_end.close()  # child's end; the parent only sends
+        child_end.close()  # the child's end
         self.busy: Optional[_TaskState] = None
         self.deadline: Optional[float] = None
         self.dispatched_at: Optional[float] = None
@@ -295,6 +298,14 @@ class _Worker:
 
     def alive(self) -> bool:
         return self.proc.is_alive()
+
+    def receive(self) -> Optional[tuple]:
+        """The worker's report, or ``None`` when its pipe broke (a dead
+        worker; the reaper handles it)."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
 
     def kill(self) -> None:
         try:
@@ -441,13 +452,12 @@ def _run_pool(
     on_progress=None,
 ) -> PoolResult:
     result = PoolResult(payloads=[None] * len(items))
-    result_q: multiprocessing.Queue = multiprocessing.Queue()
     workers: List[_Worker] = []
     next_worker_id = 0
 
     def spawn() -> _Worker:
         nonlocal next_worker_id
-        w = _Worker(next_worker_id, func, result_q)
+        w = _Worker(next_worker_id, func)
         next_worker_id += 1
         workers.append(w)
         return w
@@ -458,8 +468,8 @@ def _run_pool(
         (start, _TaskState(index=i, key=keys[i], label=labels[i]))
         for i in range(len(items))
     ]
-    #: index -> attempt currently outstanding (stale results ignored).
-    outstanding: Dict[int, int] = {}
+    #: Indices of the tasks in flight (one per busy worker).
+    outstanding: Set[int] = set()
     unresolved = len(items)
 
     # Backlog = tasks waiting to dispatch plus tasks in flight; gauged
@@ -516,7 +526,7 @@ def _run_pool(
                     # Pipe already broken: treat as an instant crash.
                     pending.insert(0, (now, state))
                     continue
-                outstanding[state.index] = state.attempt
+                outstanding.add(state.index)
                 obs.inc("pool.dispatch")
                 obs.hist(
                     HIST_QUEUE_WAIT, max(0.0, w.dispatched_at - ready_at)
@@ -535,50 +545,33 @@ def _run_pool(
                 wait = min(wait, max(0.0, min(deadlines) - now))
             if pending:
                 wait = min(wait, max(0.0, pending[0][0] - now))
-            try:
-                msg = result_q.get(timeout=max(wait, 0.005))
-            except queue_mod.Empty:
-                msg = None
+            busy = [w for w in workers if w.busy is not None]
+            ready = multiprocessing.connection.wait(
+                [w.conn for w in busy], timeout=max(wait, 0.005)
+            )
 
-            if msg is not None:
-                worker_id, index, attempt, ok, payload, blob = msg
+            for w in busy:
+                if w.conn not in ready:
+                    continue
+                msg = w.receive()
+                if msg is None:
+                    continue  # pipe broke: the reaper below handles it
+                ok, payload, blob = msg
                 rec = obs.active()
                 if rec is not None:
                     rec.absorb(blob)
-                w = next(
-                    (x for x in workers if x.id == worker_id), None
-                )
-                if w is not None and w.busy is not None \
-                        and w.busy.index == index:
-                    state = w.busy
-                    latency = (
-                        None if w.dispatched_at is None
-                        else time.monotonic() - w.dispatched_at
-                    )
-                    w.idle()
+                state = w.busy
+                latency = time.monotonic() - w.dispatched_at
+                w.idle()
+                outstanding.remove(state.index)
+                if ok:
+                    result.payloads[state.index] = payload
+                    unresolved -= 1
+                    obs.hist(HIST_TASK_LATENCY, latency)
+                    if on_progress is not None:
+                        on_progress("done", latency)
                 else:
-                    state = None
-                    latency = None
-                if outstanding.get(index) == attempt:
-                    del outstanding[index]
-                    if ok:
-                        result.payloads[index] = payload
-                        unresolved -= 1
-                        if latency is not None:
-                            obs.hist(HIST_TASK_LATENCY, latency)
-                        if on_progress is not None:
-                            on_progress("done", latency)
-                    elif state is not None:
-                        fail_or_retry(state, "error", str(payload))
-                    else:  # pragma: no cover - crash right after report
-                        fail_or_retry(
-                            _TaskState(
-                                index=index, key=keys[index],
-                                label=labels[index], attempt=attempt,
-                            ),
-                            "error", str(payload),
-                        )
-                # else: stale report from a killed/raced worker; drop.
+                    fail_or_retry(state, "error", str(payload))
 
             # Reap dead workers and time out hung ones.
             now = time.monotonic()
@@ -589,10 +582,8 @@ def _run_pool(
                     workers.remove(w)
                     w.conn.close()
                     w.proc.join(timeout=1.0)
-                    if state is not None \
-                            and outstanding.get(state.index) \
-                            == state.attempt:
-                        del outstanding[state.index]
+                    if state is not None:
+                        outstanding.remove(state.index)
                         fail_or_retry(
                             state, "crash",
                             f"worker died (exitcode {exitcode})",
@@ -608,10 +599,8 @@ def _run_pool(
                     )
                     w.kill()
                     w.conn.close()
-                    if state is not None \
-                            and outstanding.get(state.index) \
-                            == state.attempt:
-                        del outstanding[state.index]
+                    if state is not None:
+                        outstanding.remove(state.index)
                         fail_or_retry(
                             state, "hang",
                             f"task exceeded {policy.timeout_s}s "
@@ -623,19 +612,18 @@ def _run_pool(
         result.interrupted = True
         # Drain any results that arrived before the interrupt so the
         # caller can persist every finished point.
-        while True:
-            try:
-                worker_id, index, attempt, ok, payload, blob = result_q.get(
-                    timeout=0.05
-                )
-            except (queue_mod.Empty, OSError):
-                break
+        for w in workers:
+            if w.busy is None or not w.conn.poll(0.05):
+                continue
+            msg = w.receive()
+            if msg is None:
+                continue
+            ok, payload, blob = msg
             rec = obs.active()
             if rec is not None:
                 rec.absorb(blob)
-            if ok and result.payloads[index] is None \
-                    and outstanding.get(index) == attempt:
-                result.payloads[index] = payload
+            if ok:
+                result.payloads[w.busy.index] = payload
         for w in workers:
             w.kill()
             w.conn.close()
@@ -644,6 +632,4 @@ def _run_pool(
         obs_sampler.unregister_probe("pool.queue_depth")
         for w in workers:
             w.shutdown()
-        result_q.close()
-        result_q.join_thread()
     return result

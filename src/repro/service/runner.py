@@ -10,12 +10,14 @@ stores the full-monitor result.
 
 Hits are **bit-identical** to recomputation: the key hashes the exact
 inputs of the simulation (canonical circuit structure, resolved
-per-cell delays, the seed-stable declarative stimulus bound to the
-word layout), and the payload stores exact integer counts per net
-name.  Results are always *computed and cached* over the full monitor
-set (all cell-driven nets); a ``monitor`` argument only restricts the
-returned view, so one cache entry serves every projection of the same
-run.
+per-net delays, the seed-stable declarative stimulus bound to the
+word layout), and the payload stores exact integer counts per net in
+canonical (name-sorted) net order.  Computing the key never compiles
+the circuit, so a warm hit costs the netlist build, the fingerprints
+and one small store read.  Results are always *computed and cached*
+over the full monitor set (all cell-driven nets); a ``monitor``
+argument only restricts the returned view, so one cache entry serves
+every projection of the same run.
 
 :func:`cached_estimate` is the same front door for the analytic
 estimation backend (:mod:`repro.estimate`): estimator results are
@@ -47,6 +49,7 @@ from repro.service.store import (
     ESTIMATE,
     GLITCH_EXACT,
     SETTLED,
+    PayloadMismatchError,
     ResultStore,
     RunKey,
     decode_estimate,
@@ -111,7 +114,10 @@ def run_key(
 ) -> RunKey:
     """The content-addressed identity of this run (without running it)."""
     run = ActivityRun(circuit, delay_model=delay_model, backend=backend)
-    return _key_for(run, circuit, _as_word_stimulus(words), stimulus, n_vectors)
+    with obs.span("cache.key", kind="run"):
+        return _key_for(
+            run, circuit, _as_word_stimulus(words), stimulus, n_vectors
+        )
 
 
 def _key_for(
@@ -213,8 +219,9 @@ def reusable_result_nets(
     fanout-changed nets, whose delays a load-dependent model may
     re-time — sees bit-identical stimulus through bit-identical logic
     under bit-identical delays, so its per-net counts are reusable
-    across the two runs.  Returns net names (the identity payload rows
-    are keyed by); empty for non-additive deltas.
+    across the two runs.  Returns net names (the identity
+    :func:`~repro.service.store.share_per_node_rows` matches results
+    by); empty for non-additive deltas.
 
     *child* may be the delta's replay of *parent* or any circuit with
     the replay's fingerprint — the cone is resolved by cell/net name,
@@ -276,7 +283,8 @@ def cached_run(
     if store is None:
         store = default_store()
     run = ActivityRun(circuit, delay_model=delay_model, backend=backend)
-    key = _key_for(run, circuit, stim, stimulus, n_vectors)
+    with obs.span("cache.key", kind="run"):
+        key = _key_for(run, circuit, stim, stimulus, n_vectors)
 
     result: ActivityResult | None = None
     if store is not None:
@@ -284,9 +292,12 @@ def cached_run(
             payload = store.get(key)
         if payload is not None:
             with obs.span("cache.decode", kind="run"):
-                result = decode_result(
-                    payload, circuit, run.delay_description
-                )
+                try:
+                    result = decode_result(
+                        payload, circuit, run.delay_description
+                    )
+                except PayloadMismatchError:
+                    store.reject(key)  # recompute below
     if result is None:
         # A cache miss is one unit of compute work; charge it with the
         # pool's task telemetry (span + task-latency histogram) so a
@@ -305,7 +316,9 @@ def cached_run(
             else:
                 result = run.run(vectors)
         if store is not None:
-            store.put(key, encode_result(result))
+            with obs.span("cache.encode", kind="run"):
+                payload = encode_result(result, circuit)
+            store.put(key, payload)
     if monitor is not None:
         return result.restrict(monitor)
     return result

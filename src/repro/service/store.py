@@ -15,9 +15,12 @@ Design points:
   engines produce bit-identical aggregates, so both share the
   ``"glitch-exact"`` class and serve each other's cache entries; the
   zero-delay bit-parallel engine stores under ``"settled"``.
-* **per-net counts are keyed by net name** in the serialized payload,
-  the same identity the fingerprints use, and are re-mapped onto the
-  requesting circuit's net indices on retrieval.
+* **per-net counts are stored as columns in canonical net order**
+  (nets sorted by name, the identity the fingerprints use): a presence
+  bitmap plus five fixed-width integer columns in one zlib blob,
+  re-mapped onto the requesting circuit's net indices on retrieval.  A
+  payload that does not fit the requesting circuit is a miss, never a
+  wrong result; schema-1 payloads (rows keyed by net name) still read.
 * **atomic, durable writes** — object files and the JSON-lines index
   are written to a temporary file, fsynced, ``os.replace``d, and the
   parent directory is fsynced, so an accepted write survives both a
@@ -50,15 +53,20 @@ The store is a plain directory::
 
 from __future__ import annotations
 
+import base64
+import gc
 import json
 import os
+import sys
 import tempfile
 import time
+import zlib
+from array import array
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 try:
     import fcntl
@@ -116,31 +124,148 @@ class RunKey:
         ))
 
 
-def encode_result(result: ActivityResult) -> Dict[str, Any]:
-    """Serialize an :class:`ActivityResult` into a JSON-safe payload.
+class PayloadMismatchError(ValueError):
+    """A stored result payload does not fit the requesting circuit.
 
-    Per-net records are keyed by net *name* — the stable identity the
-    fingerprints use — so a payload can be decoded against any circuit
-    with the same fingerprint regardless of net index assignment.
+    Raised when a schema-2 payload's net count, presence bitmap or
+    column lengths disagree with the circuit (or with each other), or
+    a schema-1 payload names a net the circuit lacks.  Callers treat
+    it as a cache miss and recompute: a mismatched payload must never
+    become a wrong result.
     """
-    per_node = {}
-    for net, act in result.per_node.items():
-        name = result.node_names.get(net)
-        if name is None:
-            raise ValueError(
-                f"cannot serialize result: net {net} has no recorded name"
-            )
-        per_node[name] = [
-            act.toggles, act.rises, act.useful, act.useless,
-            act.cycles_active,
-        ]
+
+
+#: Payload schema :func:`encode_result` writes.  Schema 1 (per-net
+#: rows keyed by net name) is still read.
+RESULT_SCHEMA = 2
+
+#: The five per-net count columns of a schema-2 payload, in blob order.
+RESULT_COLUMNS = ("toggles", "rises", "useful", "useless", "cycles_active")
+
+#: ``array`` typecode per unsigned item width in bytes.
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
+def _column_width(values: List[int]) -> int:
+    """Narrowest of 1, 2, 4 or 8 bytes that holds every value."""
+    top = max(values, default=0)
+    for width in (1, 2, 4, 8):
+        if top < 1 << (8 * width):
+            return width
+    raise ValueError(f"count {top} does not fit in 8 bytes")
+
+
+def encode_result(result: ActivityResult, circuit: Circuit) -> Dict[str, Any]:
+    """Serialize an :class:`ActivityResult` into a compact JSON payload.
+
+    Schema 2: JSON metadata plus one base64 zlib blob (``columns``)
+    holding a presence bitmap over the circuit's nets in
+    :meth:`~repro.netlist.circuit.Circuit.canonical_order` (bit *i* of
+    byte *i* // 8, LSB first) and the five count columns of the
+    present nets (:data:`RESULT_COLUMNS`), each as unsigned
+    little-endian integers of the narrowest width in ``widths``.  The
+    canonical order is by net *name*, so a payload decodes against any
+    circuit with the same fingerprint regardless of index assignment.
+    *circuit* is the circuit the result was computed on.
+    """
+    order = circuit.canonical_order()
+    per_node = result.per_node
+    bitmap = bytearray((len(order) + 7) // 8)
+    rows = []
+    for pos, net in enumerate(order):
+        act = per_node.get(net)
+        if act is not None:
+            bitmap[pos >> 3] |= 1 << (pos & 7)
+            rows.append(act)
+    if len(rows) != len(per_node):
+        missing = sorted(set(per_node) - set(order))
+        raise ValueError(
+            f"cannot serialize result: net {missing[0]} is not in the circuit"
+        )
+    blob = [bytes(bitmap)]
+    widths = []
+    for field_name in RESULT_COLUMNS:
+        values = [getattr(act, field_name) for act in rows]
+        width = _column_width(values)
+        column = array(_TYPECODES[width], values)
+        if sys.byteorder == "big":
+            column.byteswap()
+        blob.append(column.tobytes())
+        widths.append(width)
     return {
-        "schema": 1,
+        "schema": RESULT_SCHEMA,
         "circuit_name": result.circuit_name,
         "delay_description": result.delay_description,
         "cycles": result.cycles,
-        "per_node": per_node,
+        "nets": len(order),
+        "widths": widths,
+        "columns": base64.b64encode(
+            zlib.compress(b"".join(blob), 1)
+        ).decode("ascii"),
     }
+
+
+def _result_columns(
+    payload: Dict[str, Any], n_nets: int | None = None
+) -> Tuple[List[int], List[List[int]]]:
+    """Unpack a schema-2 blob: present canonical positions and columns.
+
+    Checks the blob against itself (bitmap length and padding, column
+    lengths against the presence count) and, when *n_nets* is given,
+    against the requesting circuit's net count; any disagreement
+    raises :class:`PayloadMismatchError`.
+    """
+    try:
+        nets = payload["nets"]
+        widths = payload["widths"]
+        raw = zlib.decompress(base64.b64decode(payload["columns"]))
+    except (KeyError, TypeError, ValueError, zlib.error) as exc:
+        raise PayloadMismatchError(f"unreadable result columns: {exc}")
+    if not isinstance(nets, int) or nets < 0 or not isinstance(widths, list):
+        raise PayloadMismatchError(f"bad column header {nets!r}/{widths!r}")
+    if n_nets is not None and nets != n_nets:
+        raise PayloadMismatchError(
+            f"payload covers {nets} nets, the circuit has {n_nets}"
+        )
+    if len(widths) != len(RESULT_COLUMNS) or any(
+        w not in _TYPECODES for w in widths
+    ):
+        raise PayloadMismatchError(f"bad column widths {widths!r}")
+    head = (nets + 7) // 8
+    bits = int.from_bytes(raw[:head], "little")
+    present = bits.bit_count()
+    if bits >> nets or len(raw) != head + present * sum(widths):
+        raise PayloadMismatchError(
+            f"blob of {len(raw)} bytes does not hold {present} of "
+            f"{nets} nets at widths {widths!r}"
+        )
+    # LSB-first bit string: character i is canonical position i.
+    positions = [
+        i for i, bit in enumerate(format(bits, "b")[::-1]) if bit == "1"
+    ]
+    columns = []
+    offset = head
+    for width in widths:
+        column = array(_TYPECODES[width])
+        column.frombytes(raw[offset:offset + present * width])
+        if sys.byteorder == "big":
+            column.byteswap()
+        columns.append(column.tolist())
+        offset += present * width
+    return positions, columns
+
+
+def check_result_payload(payload: Dict[str, Any], circuit: Circuit) -> None:
+    """Raise :class:`PayloadMismatchError` unless *payload* fits *circuit*.
+
+    The check :func:`decode_result` makes, for callers that keep the
+    payload (the batch scheduler tabulates it, the explorer decodes
+    it later).
+    """
+    if payload.get("schema") == RESULT_SCHEMA:
+        _result_columns(payload, len(circuit.nets))  # no per-net records
+    else:
+        decode_result(payload, circuit)
 
 
 def decode_result(
@@ -150,14 +275,47 @@ def decode_result(
 ) -> ActivityResult:
     """Materialize a payload as an :class:`ActivityResult` for *circuit*.
 
-    Net names are mapped back onto *circuit*'s indices; metadata
+    Per-net counts are mapped back onto *circuit*'s indices (by
+    canonical position for schema 2, by net name for schema 1) in
+    ascending index order, the order a fresh run produces; metadata
     (circuit name, node names and — when given — the delay
     description) comes from the requesting context, so the result is
-    exactly what recomputation on *circuit* would have produced.
+    exactly what recomputation on *circuit* would have produced.  A
+    payload that does not fit *circuit* raises
+    :class:`PayloadMismatchError`.
     """
-    per_node: Dict[int, NodeActivity] = {}
-    for name, counts in payload["per_node"].items():
-        per_node[circuit.net(name)] = NodeActivity(*counts)
+    schema = payload.get("schema")
+    if schema == RESULT_SCHEMA:
+        n_nets = len(circuit.nets)
+        positions, columns = _result_columns(payload, n_nets)
+        order = circuit.canonical_order()
+        slots: List[NodeActivity | None] = [None] * n_nets
+        # One record per toggling net (146k on farm16) creates no
+        # reference cycle, so the collector's passes over the whole
+        # heap would be pure overhead here (they are most of the cost).
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for pos, tog, rise, useful, useless, active in zip(
+                positions, *columns
+            ):
+                slots[order[pos]] = NodeActivity(
+                    tog, rise, useful, useless, active
+                )
+        finally:
+            if gc_enabled:
+                gc.enable()
+        per_node = {
+            net: act for net, act in enumerate(slots) if act is not None
+        }
+    elif schema == 1:
+        per_node = {}
+        for name, counts in payload["per_node"].items():
+            if name not in circuit:
+                raise PayloadMismatchError(f"no net named {name!r}")
+            per_node[circuit.net(name)] = NodeActivity(*counts)
+    else:
+        raise PayloadMismatchError(f"unknown result schema {schema!r}")
     return ActivityResult(
         circuit_name=circuit.name,
         delay_description=(
@@ -171,45 +329,46 @@ def decode_result(
 
 
 def share_per_node_rows(
-    parent_payload: Dict[str, Any],
-    child_payload: Dict[str, Any],
+    parent: ActivityResult,
+    child: ActivityResult,
     net_names: Iterable[str],
 ) -> int:
-    """Verify and reference-share per-net rows across two run payloads.
+    """Verify and reference-share per-net entries across two results.
 
     For *net_names* — nets the delta analysis proved unchanged between
     a parent candidate's run and its child's
-    (:func:`repro.service.runner.reusable_result_nets`) — each row
-    present in both payloads is checked for equality and the child's
-    copy replaced by a reference to the parent's (one list object
-    instead of two; a beam exploration holds every candidate's payload
-    at once).  Agreements count ``store.nets_reused``; a disagreement
-    counts ``store.nets_reuse_mismatch`` and keeps the child's own row
-    — the simulation stays authoritative, the counter flags the cone
-    analysis bug.
+    (:func:`repro.service.runner.reusable_result_nets`) — each
+    :class:`NodeActivity` present in both results is checked for
+    equality and the child's entry replaced by the parent's object
+    (one record instead of two; a beam exploration holds every
+    candidate's result at once).  Agreements count
+    ``store.nets_reused``; a disagreement counts
+    ``store.nets_reuse_mismatch`` and keeps the child's own entry —
+    the simulation stays authoritative, the counter flags the cone
+    analysis bug.  Nets are matched by name through each result's
+    ``node_names``.
 
-    Only meaningful for simulation payloads (``glitch-exact`` /
-    ``settled``) of the **same delay regime**; payloads of a different
-    shape or with differing delay descriptions are left untouched.
-    Returns the number of rows shared.
+    Only meaningful for results of the **same delay regime** and
+    cycle count; results that differ in either are left untouched.
+    Returns the number of entries shared.
     """
-    try:
-        parent_rows = parent_payload["per_node"]
-        child_rows = child_payload["per_node"]
-    except (TypeError, KeyError):
+    if (
+        parent.delay_description != child.delay_description
+        or parent.cycles != child.cycles
+    ):
         return 0
-    if parent_payload.get("delay_description") != child_payload.get(
-        "delay_description"
-    ) or parent_payload.get("cycles") != child_payload.get("cycles"):
-        return 0
+    parent_net = {name: n for n, name in parent.node_names.items()}
+    child_net = {name: n for n, name in child.node_names.items()}
     shared = 0
     for name in net_names:
-        prow = parent_rows.get(name)
-        crow = child_rows.get(name)
+        pnet = parent_net.get(name)
+        cnet = child_net.get(name)
+        prow = parent.per_node.get(pnet)
+        crow = child.per_node.get(cnet)
         if prow is None or crow is None:
             continue
         if prow == crow:
-            child_rows[name] = prow
+            child.per_node[cnet] = prow
             shared += 1
         else:
             obs.inc("store.nets_reuse_mismatch")
@@ -310,12 +469,16 @@ def payload_summary(payload: Dict[str, Any]) -> Dict[str, float]:
                 useful += act
                 total += dens
         return summarize_rates(len(monitored), useful, total)
-    toggles = rises = useful = useless = 0
-    for counts in payload["per_node"].values():
-        toggles += counts[0]
-        rises += counts[1]
-        useful += counts[2]
-        useless += counts[3]
+    if payload.get("schema") == RESULT_SCHEMA:
+        _, columns = _result_columns(payload)
+        toggles, rises, useful, useless = (sum(c) for c in columns[:4])
+    else:
+        toggles = rises = useful = useless = 0
+        for counts in payload["per_node"].values():
+            toggles += counts[0]
+            rises += counts[1]
+            useful += counts[2]
+            useless += counts[3]
     return summarize_counts(
         payload["cycles"], toggles, rises, useful, useless
     )
@@ -529,7 +692,10 @@ class ResultStore:
                 data = path.read_text()
                 payload = json.loads(data)
                 summary = payload_summary(payload)
-            except (OSError, json.JSONDecodeError, KeyError, TypeError):
+            except (
+                OSError, json.JSONDecodeError, KeyError, TypeError,
+                PayloadMismatchError,
+            ):
                 continue
             try:
                 mtime = path.stat().st_mtime
@@ -724,6 +890,38 @@ class ResultStore:
         self.hits += 1
         obs.inc("store.hit")
         return payload
+
+    def get_result(
+        self, key: RunKey, circuit: Circuit
+    ) -> Optional[Dict[str, Any]]:
+        """:meth:`get` for a simulation payload that must fit *circuit*.
+
+        A payload that fails :func:`check_result_payload` is dropped
+        through :meth:`reject` and reported as a miss.
+        """
+        payload = self.get(key)
+        if payload is not None:
+            try:
+                check_result_payload(payload, circuit)
+            except PayloadMismatchError:
+                self.reject(key)
+                return None
+        return payload
+
+    def reject(self, key: RunKey) -> None:
+        """Turn the hit :meth:`get` just served for *key* into a miss.
+
+        For a payload that read back intact but does not decode against
+        the requesting circuit (:class:`PayloadMismatchError`): the
+        entry is dropped, the lookup is re-counted as a miss, and
+        ``store.decode_error`` counts the cause.  The caller recomputes.
+        """
+        self._drop_entry(key.digest(), unlink=True)
+        self.hits -= 1
+        self.misses += 1
+        obs.inc("store.hit", -1)
+        obs.inc("store.miss")
+        obs.inc("store.decode_error")
 
     def put(self, key: RunKey, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         """Store *payload* under *key*; returns the index entry.
@@ -973,6 +1171,7 @@ class ResultStore:
                         summary = payload_summary(payload)
                     except (
                         OSError, json.JSONDecodeError, KeyError, TypeError,
+                        PayloadMismatchError,
                     ):
                         try:
                             path.unlink()

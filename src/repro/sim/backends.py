@@ -56,6 +56,11 @@ zero-delay) without it.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
+import re
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Protocol, Sequence, Tuple, runtime_checkable
 
@@ -413,11 +418,80 @@ class BackendDegradedWarning(RuntimeWarning):
 
 from repro.sim.waveform import WaveformBackend  # noqa: E402  (needs RunStats at run time)
 from repro.sim.codegen_backend import CodegenBackend  # noqa: E402
-from repro.sim.vector import (  # noqa: E402
-    VectorBackend,
-    numpy_available,
-    numpy_unavailable_reason,
-)
+
+#: Why the vector backend cannot run when numpy is not installed.
+NUMPY_MISSING = "numpy is not installed (pip install 'repro-leijten-date95[perf]')"
+#: Why it cannot run on a numpy older than 2.0 (no ``bitwise_count``).
+NUMPY_TOO_OLD = "numpy {} lacks bitwise_count (the [perf] extra needs numpy >= 2.0)"
+#: An installed numpy's metadata directory: ``numpy-<version>.dist-info``.
+_NUMPY_DIST_INFO = re.compile(r"numpy-((\d+)[^-]*)\.dist-info")
+
+
+class _VectorEntry:
+    """Registry entry for :class:`repro.sim.vector.VectorBackend`.
+
+    Importing :mod:`repro.sim.vector` imports numpy (about a third of
+    ``import repro.cli``), so it is deferred until a vector backend is
+    first built: constructing this entry returns the real backend.
+    The class attributes mirror the real class's, for the session
+    layer's result-class decisions.
+    """
+
+    name = "vector"
+    exact_glitches = True
+    dual_mode = True
+
+    def __new__(cls, *args, **kwargs):
+        from repro.sim.vector import VectorBackend
+
+        return VectorBackend(*args, **kwargs)
+
+
+def numpy_unavailable_reason() -> str | None:
+    """Why the vector backend can't run here, or ``None`` if it can.
+
+    Before :mod:`repro.sim.vector` is imported this reads the installed
+    numpy's version without importing it; afterwards
+    the module's own verdict is used.  Both give the same answer.
+    """
+    vector = sys.modules.get("repro.sim.vector")
+    if vector is not None:
+        return vector.numpy_unavailable_reason()
+    return _installed_numpy_reason()
+
+
+@functools.lru_cache(maxsize=None)
+def _installed_numpy_reason() -> str | None:
+    """The pre-import verdict of :func:`numpy_unavailable_reason`.
+
+    The version is read from the name of numpy's ``.dist-info``
+    directory beside the package (``importlib.metadata`` would add
+    about a megabyte of imports), once per process.  Without exactly
+    one such directory the vector module imports numpy and decides.
+    """
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        return NUMPY_MISSING
+    found = [
+        match
+        for location in spec.submodule_search_locations or ()
+        for entry in os.listdir(os.path.dirname(location))
+        if (match := _NUMPY_DIST_INFO.fullmatch(entry))
+    ]
+    if len(found) != 1:
+        import repro.sim.vector
+
+        return repro.sim.vector.numpy_unavailable_reason()
+    version, major = found[0].group(1, 2)
+    if int(major) < 2:
+        return NUMPY_TOO_OLD.format(version)
+    return None
+
+
+def numpy_available() -> bool:
+    """Whether the vector backend can run in this environment."""
+    return numpy_unavailable_reason() is None
+
 
 #: Registered backends, by canonical name (aliases resolved in
 #: :func:`get_backend`).  Registration is unconditional — use
@@ -428,7 +502,7 @@ BACKENDS = {
     WaveformBackend.name: WaveformBackend,
     BitParallelBackend.name: BitParallelBackend,
     CodegenBackend.name: CodegenBackend,
-    VectorBackend.name: VectorBackend,
+    _VectorEntry.name: _VectorEntry,
 }
 
 _ALIASES = {
@@ -485,7 +559,7 @@ def backend_unavailable_reason(name: str) -> str | None:
     (like :func:`canonical_backend`).
     """
     canonical = canonical_backend(name)
-    if canonical == VectorBackend.name:
+    if canonical == _VectorEntry.name:
         reason = numpy_unavailable_reason()
         if reason is not None:
             return f"the 'vector' backend is unavailable: {reason}"
@@ -522,10 +596,25 @@ def select_backend(
     if record_events or want_traces:
         return EventDrivenBackend.name
     if numpy_available():
-        return VectorBackend.name
+        return _VectorEntry.name
     if delay_model is not None and isinstance(delay_model, ZeroDelay):
         return BitParallelBackend.name
     return WaveformBackend.name
+
+
+def import_before_fork(names: Iterable[str]) -> None:
+    """Import the deferred module behind any of the backends *names*.
+
+    Call before forking workers that will build those backends: a
+    module the parent imported is shared by every forked child, which
+    would otherwise each import it (numpy) again.  ``"auto"`` counts as
+    the backend :func:`select_backend` picks.
+    """
+    for name in names:
+        if name == AUTO_BACKEND:
+            name = select_backend()
+        if canonical_backend(name) == _VectorEntry.name and numpy_available():
+            import repro.sim.vector  # noqa: F401
 
 
 def canonical_backend(name: str) -> str:
@@ -568,5 +657,5 @@ def zero_delay_backend(
     state or need useful-only counts can take whichever is faster.
     """
     if numpy_available():
-        return VectorBackend(circuit, ZeroDelay(), monitor)
+        return _VectorEntry(circuit, ZeroDelay(), monitor)
     return BitParallelBackend(circuit, None, monitor)

@@ -44,14 +44,11 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     np = None
 
 if np is None:  # pragma: no cover - exercised by the no-numpy CI job
-    _NUMPY_ERROR: str | None = (
-        "numpy is not installed (pip install 'repro-leijten-date95[perf]')"
-    )
+    from repro.sim.backends import NUMPY_MISSING as _NUMPY_ERROR
 elif not hasattr(np, "bitwise_count"):
-    _NUMPY_ERROR = (
-        f"numpy {np.__version__} lacks bitwise_count "
-        "(the [perf] extra needs numpy >= 2.0)"
-    )
+    from repro.sim.backends import NUMPY_TOO_OLD
+
+    _NUMPY_ERROR = NUMPY_TOO_OLD.format(np.__version__)
 else:
     _NUMPY_ERROR = None
 

@@ -1,6 +1,10 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -513,3 +517,110 @@ class TestBackendSelection:
             outputs.append(capsys.readouterr().out)
         for other in outputs[1:]:
             assert other == outputs[0]
+
+
+class TestFrontDoorDefaults:
+    def test_analyze_defaults_to_auto(self):
+        from repro.cli import make_parser
+
+        args = make_parser().parse_args(["analyze", "--circuit", "rca4"])
+        assert args.backend == "auto"
+
+    def test_default_matches_event_engine(self, capsys):
+        argv = ["analyze", "--circuit", "array4", "--vectors", "40"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--backend", "event"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_vcd_run_is_still_event_driven(self, monkeypatch, capsys,
+                                           tmp_path):
+        import repro.cli as cli
+        from repro.core.activity import ActivityRun
+
+        backends = []
+
+        def spy(circuit, delay_model=None, backend="event", **kw):
+            backends.append(backend)
+            return ActivityRun(circuit, delay_model, backend, **kw)
+
+        monkeypatch.setattr(cli, "ActivityRun", spy)
+        vcd = tmp_path / "default.vcd"
+        assert main(["analyze", "--circuit", "rca4", "--vectors", "5",
+                     "--vcd", str(vcd)]) == 0
+        assert backends == ["event"]
+        assert vcd.read_text().startswith("$date")
+
+
+def _cli_process(*args, **kwargs):
+    """Run ``python *args`` against this checkout's ``src``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(src)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+class TestProcessBehaviour:
+    def test_closed_stdout_exits_without_traceback(self):
+        """``repro analyze ... | head`` must not end in a traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before anything is written
+        try:
+            proc = _cli_process(
+                "-m", "repro.cli", "analyze", "--circuit", "rca4",
+                "--vectors", "5",
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert b"BrokenPipeError" not in proc.stderr
+
+    def test_import_leaves_numpy_out(self):
+        proc = _cli_process(
+            "-c",
+            "import sys, repro.cli; "
+            "from repro.sim.backends import available_backends, "
+            "select_backend; "
+            "available_backends(); select_backend(); "
+            "print('numpy' in sys.modules)",
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_vector_registry_entry_mirrors_the_backend(self):
+        from repro.sim.backends import BACKENDS, numpy_available
+
+        if not numpy_available():
+            pytest.skip("needs the [perf] extra")
+        from repro.sim.vector import VectorBackend
+
+        entry = BACKENDS["vector"]
+        for attr in ("name", "exact_glitches", "dual_mode"):
+            assert getattr(entry, attr) == getattr(VectorBackend, attr)
+        from repro.circuits.catalog import build_named_circuit as build
+
+        circuit, _ = build("rca4")
+        assert isinstance(entry(circuit), VectorBackend)
+
+
+class TestWarmAnalyzeTrace:
+    def test_warm_hit_spans_key_but_never_compiles(self, capsys, tmp_path):
+        argv = ["analyze", "--circuit", "array4", "--vectors", "30",
+                "--cache", str(tmp_path / "store")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        trace = tmp_path / "warm.json"
+        assert main(argv + ["--trace", str(trace), "--metrics"]) == 0
+        warm = capsys.readouterr().out
+        assert "[cache] cache:" in warm
+        # Same table bytes as the cold run, banners aside.
+        assert cold.split("\n", 1)[1] in warm
+        names = {
+            e["name"] for e in json.loads(trace.read_text())["traceEvents"]
+        }
+        assert {"circuit.build", "cache.key", "cache.lookup",
+                "cache.decode"} <= names
+        assert "compile" not in names and "cache.encode" not in names

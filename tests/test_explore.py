@@ -28,7 +28,12 @@ from repro.netlist.io import words_from_inputs
 from repro.opt.balance import balance_paths
 from repro.retime.pipeline import pipeline_circuit
 from repro.service.jobs import CircuitTask, run_circuit_tasks
-from repro.service.store import EXPLORE, ResultStore, payload_summary
+from repro.service.store import (
+    EXPLORE,
+    ResultStore,
+    decode_result,
+    payload_summary,
+)
 from repro.sim.delays import UnitDelay
 from repro.sim.vectors import UniformStimulus, WordStimulus
 
@@ -220,8 +225,9 @@ class TestRunCircuitTasks:
             spec.vectors(stim, 51)
         )
         assert payload["cycles"] == direct.cycles
-        total = sum(v[0] for v in payload["per_node"].values())
-        assert total == direct.total_transitions
+        decoded = decode_result(payload, circuit)
+        assert decoded.total_transitions == direct.total_transitions
+        assert decoded.per_node == direct.per_node
 
     def test_fingerprint_identical_tasks_computed_once(self, tmp_path):
         circuit, _ = build_named_circuit("rca4")

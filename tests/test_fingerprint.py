@@ -6,6 +6,10 @@ construction order, and *any* topology, kind, name or delay change
 must change the hash.
 """
 
+import random
+
+from hypothesis import given, settings, strategies as st
+
 from repro.netlist import circuit_fingerprint, delay_fingerprint
 from repro.netlist.cells import CellKind
 from repro.netlist.circuit import Circuit
@@ -15,12 +19,14 @@ from repro.netlist.compiled import (
     compile_circuit,
 )
 from repro.sim.delays import (
+    HintedDelay,
     LoadDelay,
     PerKindDelay,
     SumCarryDelay,
     UnitDelay,
     ZeroDelay,
 )
+from tests.conftest import random_dag_circuit
 
 
 def _two_gate(order: str = "ab") -> Circuit:
@@ -198,3 +204,57 @@ class TestCompileMemoBound:
         c = _two_gate()
         d = UnitDelay()
         assert compile_circuit(c, d) is compile_circuit(c, d)
+
+
+def _delay_model(spec, circuit):
+    kind, a, b, c = spec
+    if kind == "unit":
+        return UnitDelay()
+    if kind == "sumcarry":
+        return SumCarryDelay(dsum=a, dcarry=b, other=c)
+    if kind == "perkind":
+        return PerKindDelay({CellKind.XOR: a, CellKind.FA: b}, default=c)
+    if kind == "load":
+        return LoadDelay(circuit, base=a, extra_per_load=b - 1,
+                         loads_per_unit=c)
+    return HintedDelay(PerKindDelay({}, default=a))
+
+
+#: Small delay ranges, so that distinct models often agree.
+_MODELS = st.tuples(
+    st.sampled_from(["unit", "sumcarry", "perkind", "load", "hinted"]),
+    st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
+)
+
+
+class TestDelayFingerprintProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), first=_MODELS, second=_MODELS)
+    def test_equal_exactly_when_out_specs_equal(self, seed, first, second):
+        """The compile-free fingerprint separates delay models exactly
+        as the compiled ``out_specs`` (keyed by net name) do."""
+        rng = random.Random(seed)
+        circuit = random_dag_circuit(rng, n_gates=10, with_ffs=True)
+        for cell in circuit.cells:  # hints for HintedDelay to honour
+            if not cell.is_sequential and rng.random() < 0.3:
+                cell.delay_hint = tuple(
+                    rng.randint(1, 2) for _ in cell.outputs
+                )
+
+        def by_name(model):
+            return {
+                circuit.net_name(out): d
+                for spec in compile_circuit(circuit, model).out_specs
+                for out, d in spec
+            }
+
+        a = _delay_model(first, circuit)
+        b = _delay_model(second, circuit)
+        assert (
+            delay_fingerprint(circuit, a) == delay_fingerprint(circuit, b)
+        ) == (by_name(a) == by_name(b))
+
+    def test_fingerprint_does_not_compile(self):
+        c = _two_gate()
+        delay_fingerprint(c, SumCarryDelay())
+        assert c not in _CACHE

@@ -26,6 +26,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.catalog import build_named_circuit
+from repro.core.activity import ActivityResult
+from repro.core.transitions import NodeActivity
 from repro.estimate.workload import (
     estimate_workload,
     incremental_workload,
@@ -59,7 +61,7 @@ from repro.opt.transform import (
     strip_buffers_delta,
 )
 from repro.service.runner import reusable_result_nets
-from repro.service.store import share_per_node_rows
+from repro.service.store import decode_result, share_per_node_rows
 from repro.sim.delays import SumCarryDelay, UnitDelay
 from repro.sim.vectors import CorrelatedStimulus, UniformStimulus
 
@@ -476,30 +478,37 @@ class TestPerNetResultReuse:
         ]
         with obs.capture() as rec:
             parent_payload, child_payload = run_circuit_tasks(tasks)
-            shared = share_per_node_rows(
-                parent_payload, child_payload, reusable
-            )
+            parent = decode_result(parent_payload, circuit)
+            kid = decode_result(child_payload, child)
+            shared = share_per_node_rows(parent, kid, reusable)
+        parent_rows = {
+            parent.node_names[n]: act for n, act in parent.per_node.items()
+        }
+        child_rows = {
+            kid.node_names[n]: act for n, act in kid.per_node.items()
+        }
         counters = rec.metrics.snapshot()["counters"]
         if reusable:
             assert shared == len(
-                reusable & set(parent_payload["per_node"])
-                & set(child_payload["per_node"])
+                reusable & set(parent_rows) & set(child_rows)
             )
             assert counters.get("store.nets_reused", 0) == shared
         assert counters.get("store.nets_reuse_mismatch", 0) == 0
         for name in reusable:
-            if name in parent_payload["per_node"]:
-                assert child_payload["per_node"][name] is \
-                    parent_payload["per_node"][name]
+            if name in parent_rows:
+                assert child_rows[name] is parent_rows[name]
 
     def test_share_refuses_mismatched_regimes(self):
-        a = {"per_node": {"x": [1, 1, 1, 0, 1]},
-             "delay_description": "unit", "cycles": 8}
-        b = {"per_node": {"x": [1, 1, 1, 0, 1]},
-             "delay_description": "sumcarry", "cycles": 8}
+        def result(delay, counts):
+            return ActivityResult(
+                "c", delay, cycles=8,
+                per_node={0: NodeActivity(*counts)}, node_names={0: "x"},
+            )
+
+        a = result("unit", (1, 1, 1, 0, 1))
+        b = result("sumcarry", (1, 1, 1, 0, 1))
         assert share_per_node_rows(a, b, {"x"}) == 0
-        c = {"per_node": {"x": [2, 1, 1, 1, 2]},
-             "delay_description": "unit", "cycles": 8}
+        c = result("unit", (2, 1, 1, 1, 2))
         with obs.capture() as rec:
             assert share_per_node_rows(a, c, {"x"}) == 0
         counters = rec.metrics.snapshot()["counters"]

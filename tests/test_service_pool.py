@@ -151,6 +151,26 @@ class TestSupervisedPool:
         assert result.n_retries == 4
         assert not result.failures
 
+    def test_crash_after_report_does_not_stall_other_workers(self):
+        """A worker that reports and then dies on its next task must not
+        block the other workers' reports (a lock or a half-written
+        message shared between workers would leave them hanging)."""
+        n = 40
+        plan = faults.FaultPlan(
+            seed=3, faults={"worker.crash": faults.FaultSpec(rate=0.5)},
+        )
+        policy = RetryPolicy(
+            max_attempts=3, timeout_s=3.0, backoff_base_s=0.0, seed=3
+        )
+        with faults.armed(plan):
+            result = run_supervised(
+                _square, list(range(n)), processes=2, policy=policy,
+                keys=[f"task-{i}" for i in range(n)],
+            )
+        assert not result.failures
+        assert result.payloads == [x * x for x in range(n)]
+        assert result.n_retries > 0
+
     def test_crash_quarantine_records_exitcode(self):
         plan = faults.FaultPlan(
             seed=5,

@@ -182,7 +182,7 @@ class TestPayloadCodec:
         result = ActivityRun(circuit).run(
             stim.random(random.Random(3), 50)
         )
-        back = decode_result(encode_result(result), circuit)
+        back = decode_result(encode_result(result, circuit), circuit)
         assert back.cycles == result.cycles
         assert back.circuit_name == result.circuit_name
         assert {n: vars(a) for n, a in back.per_node.items()} == {
@@ -194,7 +194,7 @@ class TestPayloadCodec:
         circuit = random_dag_circuit(random.Random(11), n_gates=10)
         stim = WordStimulus({"i": list(circuit.inputs)})
         result = ActivityRun(circuit).run(stim.random(random.Random(5), 30))
-        assert payload_summary(encode_result(result)) == result.summary()
+        assert payload_summary(encode_result(result, circuit)) == result.summary()
 
     def test_decode_remaps_by_name(self):
         """Payloads decode against any same-named circuit build."""
@@ -219,7 +219,7 @@ class TestPayloadCodec:
         assert c1.net("x") != c2.net("x")
         stim1 = WordStimulus({"a": [c1.net("a")]})
         result = ActivityRun(c1).run(stim1.random(random.Random(1), 20))
-        moved = decode_result(encode_result(result), c2)
+        moved = decode_result(encode_result(result, c1), c2)
         assert moved.node(c2.net("x")).toggles == (
             result.node(c1.net("x")).toggles
         )

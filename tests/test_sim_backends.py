@@ -195,3 +195,41 @@ def test_bitparallel_equals_functional_eval_property(data):
         values, state = c.evaluate(vec, state=dict(state))
     for net, v in values.items():
         assert stats.final_values[net] == v
+
+
+class TestDeferredVectorImport:
+    @pytest.mark.parametrize("version,usable", [("1.26.4", False), ("2.0.0", True)])
+    def test_numpy_version_is_judged_before_the_vector_import(
+        self, monkeypatch, request, tmp_path, xor_chain, version, usable
+    ):
+        """Read from the installed metadata alone, a numpy below 2.0
+        gets the verdict the vector module would give: not usable."""
+        import importlib.util
+        import sys
+        from types import SimpleNamespace
+
+        from repro.sim import backends
+
+        (tmp_path / "numpy").mkdir()
+        (tmp_path / f"numpy-{version}.dist-info").mkdir()
+        spec = SimpleNamespace(submodule_search_locations=[str(tmp_path / "numpy")])
+        find_spec = importlib.util.find_spec
+        monkeypatch.delitem(sys.modules, "repro.sim.vector", raising=False)
+        monkeypatch.setattr(
+            importlib.util, "find_spec",
+            lambda name, *a: spec if name == "numpy" else find_spec(name, *a),
+        )
+        backends._installed_numpy_reason.cache_clear()
+        request.addfinalizer(backends._installed_numpy_reason.cache_clear)
+        if usable:
+            assert backends.numpy_unavailable_reason() is None
+            assert backends.select_backend() == "vector"
+        else:
+            reason = backends.numpy_unavailable_reason()
+            assert reason == backends.NUMPY_TOO_OLD.format(version)
+            assert "vector" not in backends.available_backends()
+            assert backends.select_backend() == "waveform"
+            assert isinstance(
+                backends.zero_delay_backend(xor_chain), BitParallelBackend
+            )
+        assert "repro.sim.vector" not in sys.modules
