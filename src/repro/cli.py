@@ -145,7 +145,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 "store does not hold; drop --cache for VCD dumps"
             )
         backend = select_backend(record_events=True)
-    if backend in ("event", "waveform", "codegen", "vector", "auto"):
+    if backend in ("event", "waveform", "vector", "auto"):
         # "auto" is passed through unresolved: ActivityRun/cached_run
         # resolve it themselves, which arms runtime failover down the
         # backend chain (an explicitly named backend never falls back).
@@ -882,16 +882,12 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend", default="auto",
-        choices=[
-            "auto", "event", "waveform", "bitparallel", "codegen",
-            "vector",
-        ],
+        choices=["auto", "event", "waveform", "bitparallel", "vector"],
         help=(
             "simulation backend (default: auto, the fastest glitch-exact "
             "engine: vector with the [perf] extra, waveform without, "
-            "event-driven when --vcd is given); every glitch-exact "
-            "engine prints the same counts; codegen/vector are the "
-            "generated-kernel tiers; bitparallel counts useful "
+            "event-driven when --vcd is given); event, waveform and "
+            "vector print the same counts; bitparallel counts useful "
             "activity only"
         ),
     )
@@ -975,10 +971,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-probability", type=float, default=0.1)
     p.add_argument(
         "--backend", default="auto",
-        choices=[
-            "auto", "event", "waveform", "bitparallel", "codegen",
-            "vector",
-        ],
+        choices=["auto", "event", "waveform", "bitparallel", "vector"],
+        help=(
+            "simulation backend of every point (default: auto, vector "
+            "with the [perf] extra, waveform without); bitparallel "
+            "counts useful activity only"
+        ),
     )
     p.add_argument(
         "--estimate", action="store_true",

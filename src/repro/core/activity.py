@@ -372,12 +372,11 @@ class ActivityRun:
         ``"waveform"`` (glitch-exact batch engine, bit-identical
         aggregates at a fraction of the cost), ``"bitparallel"``
         (zero-delay batch engine: fastest interpreted tier, counts
-        only settled-value i.e. useful activity), ``"codegen"`` /
-        ``"vector"`` (the generated-kernel tiers — dual-mode: a timed
-        delay model selects glitch-exact analysis, an explicit
+        only settled-value i.e. useful activity), ``"vector"`` (the
+        numpy tier of the ``[perf]`` extra — dual-mode: a timed delay
+        model selects glitch-exact analysis, an explicit
         :class:`~repro.sim.delays.ZeroDelay` selects settled
-        zero-delay accounting; ``"vector"`` needs the ``[perf]``
-        extra's numpy), or ``"auto"`` — resolve per
+        zero-delay accounting), or ``"auto"`` — resolve per
         :func:`repro.sim.backends.select_backend`.
         Per-cycle traces (:meth:`step_traces`) always use the
         event-driven engine — the only one that produces them.
@@ -387,9 +386,9 @@ class ActivityRun:
     failover:
         Whether a backend that dies *mid-run* with ``MemoryError`` /
         an import failure re-dispatches on the next tier of the
-        fallback chain (``vector → codegen → waveform → event``;
-        settled sessions ``vector → codegen → bitparallel``) instead
-        of aborting.  Results stay bit-identical — tiers in one chain
+        fallback chain (``vector → waveform → event``; settled
+        sessions ``vector → bitparallel``) instead of aborting.
+        Results stay bit-identical — tiers in one chain
         share a result class — and each degradation emits a
         :class:`~repro.sim.backends.BackendDegradedWarning`.  Defaults
         to ``True`` for ``backend="auto"`` (auto is a *policy*, not a

@@ -368,11 +368,15 @@ class Circuit:
 
         *input_values* are the primary-input values in ``self.inputs``
         order; *state* maps DFF cell index -> stored bit (missing
-        entries default to 0).  Returns ``(net_values, next_state)``.
+        entries default to 0).  Both are normalised to 0/1; a *state*
+        key that is not a flipflop cell index raises ``ValueError``.
+        Returns ``(net_values, next_state)``.
 
-        This is the golden reference the event-driven simulator is
+        This is the zero-delay reference the event-driven simulator is
         checked against: after any cycle the settled simulator values
-        must equal this function's result.
+        must equal this function's result.  Both run the compiled
+        lane kernels, which are in turn checked exhaustively against
+        the :mod:`repro.netlist.cells` truth tables.
 
         Evaluation runs on the memoized compiled IR
         (:func:`repro.netlist.compiled.compile_circuit`), so repeated

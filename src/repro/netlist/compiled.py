@@ -10,7 +10,7 @@ O(nets) instead of O(cells·outputs) with repeated delay-model calls.
 
 The :class:`CompiledCircuit` holds:
 
-* per-cell flat tuples — input nets, output nets, kind, evaluator,
+* per-cell flat tuples — input nets, output nets, kind, lane kernel,
   sequential flag;
 * ``out_specs`` — per combinational cell, ``((out_net, delay), ...)``
   pairs pre-resolved through the delay model (``None`` when compiled
@@ -57,124 +57,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 
 
 # ---------------------------------------------------------------------------
-# Kind-specialized fused evaluators
+# Fused bitwise (lane-packed) kernels
 # ---------------------------------------------------------------------------
 #
 # The generic evaluation pattern — ``ins = [values[n] for n in nets];
 # outs = evaluator(ins)`` — allocates one throwaway list per cell per
-# evaluation, which the timed backends pay millions of times per run.
-# A *fused* evaluator captures the cell's input net indices at compile
-# time and reads the flat ``values`` array directly, with a branch-free
-# bitop body specialized per (kind, arity).  Cells outside the
-# specialization table fall back to the generic list-building form, so
-# every kind keeps working.
-
-def _fuse_generic(evaluator, nets):
-    def f(values, _e=evaluator, _n=nets):
-        return _e([values[n] for n in _n])
-    return f
-
-
-def _fuse_cell(
-    kind: CellKind, nets: Tuple[int, ...]
-) -> Callable[[Sequence[int]], Tuple[int, ...]]:
-    """Build the fused evaluator for one cell instance."""
-    n = len(nets)
-    if kind is CellKind.CONST0:
-        return lambda values: (0,)
-    if kind is CellKind.CONST1:
-        return lambda values: (1,)
-    if kind is CellKind.BUF:
-        a, = nets
-        return lambda values, _a=a: (values[_a],)
-    if kind is CellKind.NOT:
-        a, = nets
-        return lambda values, _a=a: (values[_a] ^ 1,)
-    if kind is CellKind.MUX2:
-        s, a, b = nets
-        # 0/1-domain branch-free select: a when s == 0, b when s == 1.
-        return lambda values, _s=s, _a=a, _b=b: (
-            values[_a] ^ ((values[_a] ^ values[_b]) & values[_s]),
-        )
-    if kind is CellKind.HA:
-        a, b = nets
-        def f_ha(values, _a=a, _b=b):
-            x, y = values[_a], values[_b]
-            return (x ^ y, x & y)
-        return f_ha
-    if kind is CellKind.FA:
-        a, b, c = nets
-        def f_fa(values, _a=a, _b=b, _c=c):
-            x, y, z = values[_a], values[_b], values[_c]
-            p = x ^ y
-            return (p ^ z, (x & y) | (z & p))
-        return f_fa
-    if kind in (CellKind.AND, CellKind.NAND):
-        inv = 1 if kind is CellKind.NAND else 0
-        if n == 2:
-            a, b = nets
-            return lambda values, _a=a, _b=b, _i=inv: (
-                (values[_a] & values[_b]) ^ _i,
-            )
-        if n == 3:
-            a, b, c = nets
-            return lambda values, _a=a, _b=b, _c=c, _i=inv: (
-                (values[_a] & values[_b] & values[_c]) ^ _i,
-            )
-        def f_and(values, _n=nets, _i=inv):
-            out = 1
-            for net in _n:
-                out &= values[net]
-            return (out ^ _i,)
-        return f_and
-    if kind in (CellKind.OR, CellKind.NOR):
-        inv = 1 if kind is CellKind.NOR else 0
-        if n == 2:
-            a, b = nets
-            return lambda values, _a=a, _b=b, _i=inv: (
-                (values[_a] | values[_b]) ^ _i,
-            )
-        if n == 3:
-            a, b, c = nets
-            return lambda values, _a=a, _b=b, _c=c, _i=inv: (
-                (values[_a] | values[_b] | values[_c]) ^ _i,
-            )
-        def f_or(values, _n=nets, _i=inv):
-            out = 0
-            for net in _n:
-                out |= values[net]
-            return (out ^ _i,)
-        return f_or
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        inv = 1 if kind is CellKind.XNOR else 0
-        if n == 2:
-            a, b = nets
-            return lambda values, _a=a, _b=b, _i=inv: (
-                values[_a] ^ values[_b] ^ _i,
-            )
-        if n == 3:
-            a, b, c = nets
-            return lambda values, _a=a, _b=b, _c=c, _i=inv: (
-                values[_a] ^ values[_b] ^ values[_c] ^ _i,
-            )
-        def f_xor(values, _n=nets, _i=inv):
-            out = _i
-            for net in _n:
-                out ^= values[net]
-            return (out,)
-        return f_xor
-    return _fuse_generic(_EVALUATORS[kind], nets)
-
-
-# ---------------------------------------------------------------------------
-# Fused bitwise (lane-packed) kernels
-# ---------------------------------------------------------------------------
+# evaluation, which the simulators pay millions of times per run.  A
+# *fused* kernel captures the cell's input net indices at compile time
+# and reads the flat per-net array directly, with a branch-free bitop
+# body specialized per (kind, arity); other arities fall back to the
+# generic list-building form, so every kind keeps working.
 #
-# The same fusion idea applied to *bitmask* evaluation: one integer per
-# net, each bit one independent lane, inversions against an explicit
-# lane mask.  The bit-parallel backend packs one clock cycle per lane;
-# the waveform backend packs one intra-cycle event time per lane — both
-# evaluate every cell exactly once per batch through these kernels.
+# Every kernel is lane-packed: one integer per net, each bit one
+# independent lane, inversions against an explicit lane mask.  The
+# bit-parallel backend packs one clock cycle per lane; the waveform
+# backend packs one intra-cycle event time per lane; the event-driven
+# engine and :meth:`CompiledCircuit.evaluate_flat` run the same
+# kernels at mask 1 (one lane, plain 0/1 values).  This is the one
+# Python definition of each cell kind's logic on the simulation path;
+# ``tests/test_netlist_compiled.py`` checks it exhaustively against the
+# :mod:`repro.netlist.cells` evaluators.
 
 def _bits_const0(ins, mask):
     return (0,)
@@ -242,7 +144,7 @@ def _bits_fa(ins, mask):
 
 
 #: Generic bitwise evaluators by kind (fallback for the fused forms).
-#: ``DFF`` maps to its transparent (buffer) view; neither backend ever
+#: ``DFF`` maps to its transparent (buffer) view; no simulator ever
 #: evaluates a sequential cell through these.
 _BIT_EVALUATORS = {
     CellKind.CONST0: _bits_const0,
@@ -368,7 +270,7 @@ def _fuse_bits(
 # on the cell kind and enumerated truth tables per evaluation; these
 # kernels instead specialize the closed-form propagation rule per cell
 # instance, reading flat per-net float arrays via captured indices,
-# exactly like :func:`_fuse_cell` does for bits.  They are part of the
+# exactly like :func:`_fuse_bits` does for bits.  They are part of the
 # compiled snapshot (memoized with it), built lazily on first
 # estimator access — see :attr:`CompiledCircuit.cell_prob`.
 #
@@ -629,16 +531,12 @@ class CompiledCircuit:
     cell_kinds: Tuple[CellKind, ...]
     cell_inputs: Tuple[Tuple[int, ...], ...]
     cell_outputs: Tuple[Tuple[int, ...], ...]
-    cell_eval: Tuple[Callable[[Sequence[int]], Tuple[int, ...]], ...]
-    #: Per-cell fused kernels (see :func:`_fuse_cell`): read the flat
-    #: ``values`` array directly via captured net indices — no
-    #: per-evaluation input-list allocation.  Shared by both timed
-    #: backends and :meth:`evaluate_flat`.
-    cell_eval_fused: Tuple[Callable[[Sequence[int]], Tuple[int, ...]], ...]
-    #: Per-cell fused bitmask kernels (see :func:`_fuse_bits`): same
-    #: fusion over a per-net integer-bitmask array, one independent
-    #: lane per bit.  The bit-parallel backend packs clock cycles into
-    #: lanes; the waveform backend packs intra-cycle event times.
+    #: Per-cell fused lane kernels (see :func:`_fuse_bits`): read a
+    #: per-net integer-bitmask array directly via captured net indices,
+    #: one independent lane per bit.  The bit-parallel backend packs
+    #: clock cycles into lanes, the waveform backend intra-cycle event
+    #: times; the event-driven engine and :meth:`evaluate_flat` call
+    #: them with mask 1.
     cell_eval_bits: Tuple[Callable[[Sequence[int], int], Tuple[int, ...]], ...]
     cell_is_seq: Tuple[bool, ...]
     comb_fanout: Tuple[Tuple[int, ...], ...]
@@ -690,32 +588,10 @@ class CompiledCircuit:
         )
 
     # ------------------------------------------------------------------
-    # Generated flat passes (see repro.netlist.codegen): whole-circuit
-    # straight-line kernels exec-compiled on first access and memoized
-    # with the snapshot, exactly like the estimator kernel tables.
-
-    @cached_property
-    def settle_pass(self):
-        """Generated ``f(v, M)`` zero-delay bitmask pass (codegen tier).
-
-        Statement-for-statement equivalent to running every
-        :attr:`cell_eval_bits` kernel over the topo order; accepted by
-        :func:`settle_lanes` as ``comb_pass``.
-        """
-        from repro.netlist import codegen
-
-        return codegen.build_settle_pass(self)
-
-    @cached_property
-    def waveform_pass(self):
-        """Generated ``f(w, ch, vals, F)`` timed waveform-lane pass.
-
-        Only available on delay-compiled snapshots (``out_specs`` not
-        ``None``); transport delays are baked in as literal shifts.
-        """
-        from repro.netlist import codegen
-
-        return codegen.build_waveform_pass(self)
+    # Generated estimator passes (see repro.netlist.codegen): whole-
+    # circuit straight-line kernels exec-compiled on first access and
+    # memoized with the snapshot, exactly like the estimator kernel
+    # tables.
 
     @cached_property
     def prob_pass(self):
@@ -759,9 +635,11 @@ class CompiledCircuit:
         """Zero-delay functional evaluation of one clock cycle.
 
         *input_values* are bits in ``inputs`` order; *state* maps DFF
-        cell index -> stored bit (missing entries default to 0).
-        Returns ``(values, next_state)`` where *values* is a flat list
-        indexed by net (undriven non-input nets read 0).
+        cell index -> stored bit (missing entries default to 0).  Both
+        are normalised to 0/1 with ``int(bool(v))``; a *state* key that
+        is not a flipflop cell index raises ``ValueError``.  Returns
+        ``(values, next_state)`` where *values* is a flat list indexed
+        by net (undriven non-input nets read 0).
         """
         if len(input_values) != len(self.inputs):
             raise ValueError(
@@ -769,15 +647,22 @@ class CompiledCircuit:
                 f"got {len(input_values)}"
             )
         state = state or {}
+        if state:
+            stray = set(state).difference(self.ff_cells)
+            if stray:
+                raise ValueError(
+                    "state keys must be flipflop cell indices; got "
+                    f"non-flipflop keys {sorted(stray)}"
+                )
         values = [0] * self.n_nets
         for net, v in zip(self.inputs, input_values):
             values[net] = int(bool(v))
         for i, ci in enumerate(self.ff_cells):
-            values[self.ff_q[i]] = state.get(ci, 0)
+            values[self.ff_q[i]] = int(bool(state.get(ci, 0)))
         cell_outputs = self.cell_outputs
-        fused = self.cell_eval_fused
+        kernels = self.cell_eval_bits
         for ci in self.topo:
-            outs = fused[ci](values)
+            outs = kernels[ci](values, 1)
             for out_net, v in zip(cell_outputs[ci], outs):
                 values[out_net] = v
         next_state = {
@@ -791,7 +676,6 @@ def settle_lanes(
     net_bits: List[int],
     mask: int,
     base_values: Sequence[int],
-    comb_pass: Callable[[List[int], int], None] | None = None,
 ) -> List[int]:
     """Zero-delay settle of a lane-packed batch, in place.
 
@@ -804,26 +688,20 @@ def settle_lanes(
     resolved by fixpoint iteration (each pass extends the correct
     prefix by at least one register stage).
 
-    *comb_pass* overrides the combinational pass — pass
-    :attr:`CompiledCircuit.settle_pass` to run the generated flat
-    kernel instead of the per-cell fused-kernel loop (bit-identical by
-    construction).
-
     Returns the converged ``q`` lane masks, parallel to
     :attr:`CompiledCircuit.ff_cells`.  Shared by the bit-parallel
-    backend (lane = clock cycle) and the waveform/codegen backends'
-    settled pre-pass.
+    backend (lane = clock cycle) and the waveform backend's settled
+    pre-pass.
     """
-    if comb_pass is None:
-        kernels = cc.cell_eval_bits
-        cell_outputs = cc.cell_outputs
-        topo = cc.topo
+    kernels = cc.cell_eval_bits
+    cell_outputs = cc.cell_outputs
+    topo = cc.topo
 
-        def comb_pass(bits, m):
-            for ci in topo:
-                outs = kernels[ci](bits, m)
-                for out_net, v in zip(cell_outputs[ci], outs):
-                    bits[out_net] = v
+    def comb_pass(bits, m):
+        for ci in topo:
+            outs = kernels[ci](bits, m)
+            for out_net, v in zip(cell_outputs[ci], outs):
+                bits[out_net] = v
 
     ff_cells, ff_d, ff_q = cc.ff_cells, cc.ff_d, cc.ff_q
     if not ff_cells:
@@ -1020,8 +898,6 @@ def _build(
     cell_kinds = []
     cell_inputs = []
     cell_outputs = []
-    cell_eval = []
-    cell_eval_fused = []
     cell_eval_bits = []
     cell_is_seq = []
     ff_cells: List[int] = []
@@ -1035,8 +911,6 @@ def _build(
         cell_kinds.append(cell.kind)
         cell_inputs.append(cell.inputs)
         cell_outputs.append(cell.outputs)
-        cell_eval.append(_EVALUATORS[cell.kind])
-        cell_eval_fused.append(_fuse_cell(cell.kind, cell.inputs))
         cell_eval_bits.append(_fuse_bits(cell.kind, cell.inputs))
         seq = cell.is_sequential
         cell_is_seq.append(seq)
@@ -1065,8 +939,6 @@ def _build(
         cell_kinds=tuple(cell_kinds),
         cell_inputs=tuple(cell_inputs),
         cell_outputs=tuple(cell_outputs),
-        cell_eval=tuple(cell_eval),
-        cell_eval_fused=tuple(cell_eval_fused),
         cell_eval_bits=tuple(cell_eval_bits),
         cell_is_seq=tuple(cell_is_seq),
         comb_fanout=tuple(comb_fanout),
@@ -1193,8 +1065,6 @@ def _build_delta(
     cell_kinds = []
     cell_inputs = []
     cell_outputs = []
-    cell_eval = []
-    cell_eval_fused = []
     cell_eval_bits = []
     cell_is_seq = []
     reused: List[bool] = []
@@ -1206,7 +1076,6 @@ def _build_delta(
         None if delay_model is None else []
     )
     max_delay = 0
-    parent_fused = parent_cc.cell_eval_fused
     parent_bits = parent_cc.cell_eval_bits
     for cell in cells:
         ci = cell.index
@@ -1215,15 +1084,12 @@ def _build_delta(
         cell_kinds.append(cell.kind)
         cell_inputs.append(cell.inputs)
         cell_outputs.append(cell.outputs)
-        cell_eval.append(_EVALUATORS[cell.kind])
         if reuse:
             # Index alignment makes the parent's closures (which
             # captured net indices) valid verbatim in the child.
-            cell_eval_fused.append(parent_fused[ci])
             cell_eval_bits.append(parent_bits[ci])
         else:
             touched_idx.append(ci)
-            cell_eval_fused.append(_fuse_cell(cell.kind, cell.inputs))
             cell_eval_bits.append(_fuse_bits(cell.kind, cell.inputs))
         seq = cell.is_sequential
         cell_is_seq.append(seq)
@@ -1259,8 +1125,6 @@ def _build_delta(
         cell_kinds=tuple(cell_kinds),
         cell_inputs=tuple(cell_inputs),
         cell_outputs=tuple(cell_outputs),
-        cell_eval=tuple(cell_eval),
-        cell_eval_fused=tuple(cell_eval_fused),
         cell_eval_bits=tuple(cell_eval_bits),
         cell_is_seq=tuple(cell_is_seq),
         comb_fanout=tuple(

@@ -27,18 +27,24 @@ touching consumers:
   verification, warm-up/fast-forward, and flipflop/useful-activity
   estimation; its per-net toggle counts equal the event-driven
   backend's per-net *useful* counts exactly.
-* :class:`~repro.sim.codegen_backend.CodegenBackend` — the generated
-  pure-Python tier (:mod:`repro.netlist.codegen`): the same lane
-  algorithms as the two batch engines above, run through one flat
-  exec-compiled kernel per circuit instead of per-cell closure
-  dispatch.  Dual-mode: a timed delay model selects the glitch-exact
-  waveform algorithm, an explicit ZeroDelay selects settled batch
-  evaluation.
 * :class:`~repro.sim.vector.VectorBackend` — the numpy tier (the
   optional ``[perf]`` extra): per-net cycle lanes packed into
   ``uint64`` ndarrays, evaluated level-by-level with per-kind
-  vectorized ops.  Dual-mode like codegen, bit-identical to the
-  event-driven reference, and the fastest engine by a wide margin.
+  vectorized ops.  Dual-mode: a timed delay model selects the
+  glitch-exact algorithm (bit-identical to the event-driven
+  reference), an explicit ZeroDelay selects settled batch evaluation
+  (bit-identical to the bit-parallel backend).  The fastest
+  glitch-exact engine by a wide margin.
+
+The three interpreted engines evaluate cells through one kernel family,
+the compiled IR's lane kernels
+(:attr:`~repro.netlist.compiled.CompiledCircuit.cell_eval_bits`): the
+event-driven engine and functional evaluation run them at a one-lane
+mask, the batch engines at one lane per cycle or event time.
+
+Runtime degradation follows two chains (:data:`FALLBACK_CHAIN`,
+:data:`ZERO_DELAY_FALLBACK_CHAIN`): vector → waveform → event for
+glitch-exact sessions and vector → bitparallel for settled ones.
 
 All backends accept an explicit starting point (``initial_values`` +
 ``initial_ff_state``), which is what makes exact vector-stream sharding
@@ -265,10 +271,6 @@ class BitParallelBackend:
         self.circuit = circuit
         self.delay_model = ZeroDelay()
         self._cc: CompiledCircuit = compile_circuit(circuit)
-        #: Optional settle-pass override (the codegen backend installs
-        #: the generated flat kernel here; ``None`` keeps the fused
-        #: per-cell kernel loop).
-        self._comb_pass = None
         if monitor is None:
             self._monitor = [
                 n for n in range(self._cc.n_nets) if self._cc.driven[n]
@@ -348,9 +350,7 @@ class BitParallelBackend:
 
             # Zero-delay settle via the shared fused-kernel helper; the
             # flipflop recurrence q[k] = d[k-1] is fixpoint-resolved.
-            q_bits = settle_lanes(
-                cc, net_bits, mask, values, self._comb_pass
-            )
+            q_bits = settle_lanes(cc, net_bits, mask, values)
             for i, ci in enumerate(ff_cells):
                 state[ci] = (q_bits[i] >> top) & 1
 
@@ -417,7 +417,6 @@ class BackendDegradedWarning(RuntimeWarning):
 
 
 from repro.sim.waveform import WaveformBackend  # noqa: E402  (needs RunStats at run time)
-from repro.sim.codegen_backend import CodegenBackend  # noqa: E402
 
 #: Why the vector backend cannot run when numpy is not installed.
 NUMPY_MISSING = "numpy is not installed (pip install 'repro-leijten-date95[perf]')"
@@ -501,7 +500,6 @@ BACKENDS = {
     EventDrivenBackend.name: EventDrivenBackend,
     WaveformBackend.name: WaveformBackend,
     BitParallelBackend.name: BitParallelBackend,
-    CodegenBackend.name: CodegenBackend,
     _VectorEntry.name: _VectorEntry,
 }
 
@@ -513,7 +511,6 @@ _ALIASES = {
     "bitparallel": "bitparallel",
     "bit-parallel": "bitparallel",
     "batch": "bitparallel",
-    "codegen": "codegen",
     "vector": "vector",
     "numpy": "vector",
     "np": "vector",
@@ -527,9 +524,9 @@ AUTO_BACKEND = "auto"
 #: trades throughput for fewer runtime dependencies / less memory
 #: (the event engine streams one cycle at a time and allocates almost
 #: nothing).
-FALLBACK_CHAIN = ("vector", "codegen", "waveform", "event")
+FALLBACK_CHAIN = ("vector", "waveform", "event")
 #: Degradation order for settled (zero-delay) sessions.
-ZERO_DELAY_FALLBACK_CHAIN = ("vector", "codegen", "bitparallel")
+ZERO_DELAY_FALLBACK_CHAIN = ("vector", "bitparallel")
 
 
 def fallback_candidates(

@@ -23,11 +23,13 @@ coalescing; integer delta time; two-valued logic.  After every step the
 settled values provably equal the zero-delay functional evaluation
 (checked in the test suite, including property-based tests).
 
-Implementation: all per-cell structure (inputs, outputs, evaluators,
+Implementation: all per-cell structure (inputs, outputs, lane kernels,
 pre-resolved delays, combinational fanout) comes from the memoized
 compiled IR (:func:`repro.netlist.compiled.compile_circuit`), so
 constructing a simulator is cheap after the first one per
-``(circuit, delay model)`` pair.  The event queue is a bounded-delay
+``(circuit, delay model)`` pair.  Cells are evaluated by the same lane
+kernels as the batch engines, at a one-lane mask
+(``cell_eval_bits[ci](values, 1)``).  The event queue is a bounded-delay
 calendar (timing wheel) of ``max_delay + 1`` slots instead of a binary
 heap: every pending event lies within ``max_delay`` deltas of the
 current time, so popping the next time slot is an O(1) circular scan
@@ -212,7 +214,7 @@ class Simulator:
         wheel[0] = at0
         n_slots = 1
         comb_fanout = cc.comb_fanout
-        fused = cc.cell_eval_fused
+        kernels = cc.cell_eval_bits
         out_specs = cc.out_specs
         monitored = self._monitored
         toggles = trace.toggles
@@ -247,7 +249,7 @@ class Simulator:
             if any_change:
                 last_time = t
             for ci in affected:
-                outs = fused[ci](values)
+                outs = kernels[ci](values, 1)
                 for (out_net, d), v in zip(out_specs[ci], outs):
                     widx = (t + d) % size
                     slot = wheel[widx]

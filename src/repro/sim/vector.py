@@ -1,4 +1,4 @@
-"""Vectorized numpy backend: the compiled codegen tier of the ``[perf]`` extra.
+"""Vectorized numpy backend: the fast simulation tier of the ``[perf]`` extra.
 
 :class:`VectorBackend` evaluates whole *levels* of the circuit as
 single ndarray operations.  The levelized grouping comes from
@@ -167,7 +167,7 @@ class VectorBackend:
     """Levelized ndarray backend (see module docstring).
 
     Satisfies the :class:`~repro.sim.backends.SimBackend` protocol and
-    is **dual-mode** like the codegen backend: a timed delay model
+    is **dual-mode**: a timed delay model
     (default :class:`~repro.sim.delays.UnitDelay`) runs the
     glitch-exact waveform-lane algorithm; an explicit
     :class:`~repro.sim.delays.ZeroDelay` runs settled batch evaluation

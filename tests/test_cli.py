@@ -504,10 +504,16 @@ class TestBackendSelection:
                      "--backend", "auto"]) == 0
         assert "L/F" in capsys.readouterr().out
 
-    def test_codegen_tiers_agree_with_event_via_cli(self, capsys):
+    def test_removed_codegen_backend_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--circuit", "rca4", "--backend", "codegen"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'codegen'" in capsys.readouterr().err
+
+    def test_glitch_exact_tiers_agree_with_event_via_cli(self, capsys):
         from repro.sim.vector import numpy_available
 
-        backends = ["event", "codegen"]
+        backends = ["event", "waveform"]
         if numpy_available():
             backends.append("vector")
         outputs = []

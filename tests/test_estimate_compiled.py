@@ -134,7 +134,7 @@ class TestAgreementWithReference:
 
 
 class TestGeneratedEstimatorPasses:
-    """The estimators run as exec-compiled flat passes (codegen tier).
+    """The estimators run as exec-compiled flat passes.
 
     :func:`signal_probabilities` / :func:`transition_densities` invoke
     the compiled snapshot's generated ``prob_pass`` / ``density_pass``
@@ -151,6 +151,12 @@ class TestGeneratedEstimatorPasses:
         for which in ("prob", "density"):
             src = kernel_source(cc, which)
             assert "def " in src and "for " not in src
+
+    def test_unknown_pass_rejected(self, xor_chain):
+        cc = compile_circuit(xor_chain)
+        for which in ("nope", "settle", "waveform"):
+            with pytest.raises(ValueError, match="unknown pass"):
+                kernel_source(cc, which)
 
     @pytest.mark.parametrize("name", ("rca8", "array8", "detector"))
     def test_generated_passes_match_reference_biased(self, name):

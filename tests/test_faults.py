@@ -363,3 +363,63 @@ class TestBackendDegradation:
                 warnings.simplefilter("ignore", BackendDegradedWarning)
                 with pytest.raises(MemoryError):
                     run.run([[0, 0, 0], [1, 1, 1]])
+
+
+class TestFallbackChains:
+    """The two degradation chains: vector→waveform→event, vector→bitparallel."""
+
+    def test_chains(self):
+        from repro.sim.backends import (
+            BACKENDS,
+            FALLBACK_CHAIN,
+            ZERO_DELAY_FALLBACK_CHAIN,
+        )
+
+        assert set(BACKENDS) == {"event", "waveform", "bitparallel", "vector"}
+        assert FALLBACK_CHAIN == ("vector", "waveform", "event")
+        assert ZERO_DELAY_FALLBACK_CHAIN == ("vector", "bitparallel")
+
+    def test_removed_codegen_name_rejected(self):
+        from repro.sim.backends import canonical_backend
+
+        with pytest.raises(ValueError, match="unknown simulation backend"):
+            canonical_backend("codegen")
+
+    @pytest.mark.parametrize(
+        "zero_delay,expected", [(False, "waveform"), (True, "bitparallel")]
+    )
+    def test_failing_vector_degrades_to_next_tier(
+        self, xor_chain, zero_delay, expected
+    ):
+        from repro.core.activity import ActivityRun
+        from repro.sim.backends import numpy_available
+        from repro.sim.delays import ZeroDelay
+
+        if not numpy_available():
+            pytest.skip("vector backend needs the [perf] extra (numpy)")
+        delay = ZeroDelay() if zero_delay else None
+        vecs = [[(i >> b) & 1 for b in range(3)] for i in range(32)]
+        reference = ActivityRun(
+            xor_chain, delay_model=delay, backend=expected
+        ).run(vecs)
+        plan = FaultPlan(seed=4, faults={
+            "backend.memoryerror": FaultSpec(
+                rate=1.0, keys=("vector",), max_attempt=99
+            ),
+        })
+        run = ActivityRun(
+            xor_chain, delay_model=delay, backend="vector", failover=True
+        )
+        with faults.armed(plan):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                degraded = run.run(vecs)
+        emitted = [
+            w.message for w in caught
+            if issubclass(w.category, BackendDegradedWarning)
+        ]
+        assert [(w.from_backend, w.to_backend) for w in emitted] == [
+            ("vector", expected)
+        ]
+        assert run.backend_name == expected
+        assert degraded.per_node == reference.per_node

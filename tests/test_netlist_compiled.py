@@ -1,10 +1,12 @@
 """Unit tests for the compiled circuit IR and its memoization."""
 
+from itertools import product
+
 import pytest
 
-from repro.netlist.cells import CellKind
+from repro.netlist.cells import INPUT_ARITY, OUTPUT_COUNT, CellKind, _EVALUATORS
 from repro.netlist.circuit import Circuit
-from repro.netlist.compiled import compile_circuit
+from repro.netlist.compiled import _fuse_bits, compile_circuit
 from repro.sim.delays import LoadDelay, SumCarryDelay, UnitDelay
 
 from tests.conftest import random_dag_circuit
@@ -128,3 +130,87 @@ class TestEvaluateFlat:
         assert nxt == {ff.index: 1}
         values, nxt = compiled.evaluate_flat([], state=nxt)
         assert values[q] == 1 and nxt == {ff.index: 0}
+
+    def test_state_bits_normalised_like_inputs(self):
+        c = Circuit("ffnorm")
+        a = c.add_input("a")
+        q = c.new_net("q")
+        ff = c.add_cell(CellKind.DFF, [a], [q], name="ff")
+        nq = c.gate(CellKind.NOT, q, name="nq")
+        both = c.gate(CellKind.AND, q, a, name="both")
+        values, nxt = compile_circuit(c).evaluate_flat([5], {ff.index: 2})
+        assert (values[a], values[q], values[nq], values[both]) == (1, 1, 0, 1)
+        assert nxt == {ff.index: 1}
+        values, _ = c.evaluate([1], {ff.index: 2})
+        assert (values[q], values[nq], values[both]) == (1, 0, 1)
+
+    def test_state_keys_must_be_flipflops(self):
+        c = Circuit("ffkeys")
+        a = c.add_input("a")
+        q = c.new_net("q")
+        c.add_cell(CellKind.DFF, [a], [q], name="ff")
+        inv = c.gate(CellKind.NOT, q, name="inv")
+        not_ff = c.nets[inv].driver[0]
+        with pytest.raises(ValueError, match="flipflop cell indices"):
+            compile_circuit(c).evaluate_flat([0], {not_ff: 1})
+        with pytest.raises(ValueError, match="flipflop cell indices"):
+            c.evaluate([0], {99: 0})
+
+
+def _kernel_cases():
+    """(kind, arity) for every kind: n-ary kinds at arities 1..5."""
+    for kind in CellKind:
+        arity = INPUT_ARITY[kind]
+        for n in range(1, 6) if arity is None else (arity,):
+            yield kind, n
+
+
+class TestLaneKernelsMatchCellEvaluators:
+    """The fused lane kernels against the independent cells.py tables.
+
+    The event-driven engine, functional evaluation and both batch
+    engines all evaluate cells through ``_fuse_bits`` kernels, so this
+    is the check that ties them to the reference semantics.  Input nets
+    are spread over a wider array (other slots hold junk) so a kernel
+    that reads the wrong index fails.
+    """
+
+    @staticmethod
+    def _layout(n):
+        nets = tuple(1 + 2 * i for i in range(n))
+        return nets, 2 * n + 1
+
+    @pytest.mark.parametrize(
+        "kind,n", list(_kernel_cases()),
+        ids=lambda v: v.value if isinstance(v, CellKind) else str(v),
+    )
+    def test_single_lane_exhaustive(self, kind, n):
+        nets, size = self._layout(n)
+        kernel = _fuse_bits(kind, nets)
+        for combo in product((0, 1), repeat=n):
+            values = [1] * size
+            for net, bit in zip(nets, combo):
+                values[net] = bit
+            assert kernel(values, 1) == _EVALUATORS[kind](combo), combo
+
+    @pytest.mark.parametrize(
+        "kind,n", list(_kernel_cases()),
+        ids=lambda v: v.value if isinstance(v, CellKind) else str(v),
+    )
+    def test_lane_packed_exhaustive(self, kind, n):
+        combos = list(product((0, 1), repeat=n))
+        # Every combination in its own lane, plus one repeat so the
+        # lane count is never a power of two.
+        combos.append(combos[-1])
+        mask = (1 << len(combos)) - 1
+        nets, size = self._layout(n)
+        bits = [mask] * size
+        for pin, net in enumerate(nets):
+            bits[net] = sum(c[pin] << k for k, c in enumerate(combos))
+        outs = _fuse_bits(kind, nets)(bits, mask)
+        assert len(outs) == OUTPUT_COUNT[kind]
+        for out in outs:
+            assert out & ~mask == 0
+        for k, combo in enumerate(combos):
+            lane = tuple((out >> k) & 1 for out in outs)
+            assert lane == _EVALUATORS[kind](combo), (k, combo)
