@@ -14,11 +14,13 @@ Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py
 
+``--out PATH`` writes the snapshot somewhere else than the committed
+``BENCH_sim.json`` (a local gate run should not overwrite the ledger).
 ``--compare REFERENCE.json`` additionally gates the run: after
-measuring (and refreshing the output file) it compares each workload's
+measuring (and writing the output file) it compares each workload's
 median against the reference file and exits non-zero if any regressed
 by more than ``--threshold`` (default 25%) — the CI bench job runs
-this against the committed ``BENCH_sim.json``.
+this against a same-runner run of the parent commit.
 
 Extra pytest arguments are passed through, e.g.::
 
@@ -242,6 +244,10 @@ def main(argv: list[str] | None = None) -> int:
         help="exit non-zero if any median regresses past the threshold",
     )
     parser.add_argument(
+        "--out", default=str(OUT), metavar="PATH",
+        help="where to write the snapshot (default: BENCH_sim.json)",
+    )
+    parser.add_argument(
         "--threshold", type=float, default=0.25,
         help="allowed median regression fraction (default 0.25)",
     )
@@ -250,13 +256,13 @@ def main(argv: list[str] | None = None) -> int:
     reference = None
     if args.compare is not None:
         with open(args.compare) as fh:
-            reference = json.load(fh)  # read before OUT is overwritten
+            reference = json.load(fh)  # read before --out may overwrite it
 
     data = normalize(run_benchmarks(extra))
-    with open(OUT, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    print(f"wrote {OUT}")
+    print(f"wrote {args.out}")
     for key, entry in data["results"].items():
         if "speedup_vs_event" in entry:
             extra_txt = f"  ({entry['speedup_vs_event']}x vs event)"

@@ -20,10 +20,12 @@ probabilistic estimates break down (reconvergent fanout, glitches):
   implementations, kept as the oracle the compiled-IR estimators are
   property-tested against (1e-12 agreement).
 
-Both production estimators run as fused passes over the compiled
-circuit IR (:mod:`repro.netlist.compiled` generates per-cell
-probability/density kernels at compile time, next to the simulation
-kernels).
+Both production estimators run as generated passes over the compiled
+circuit IR (:mod:`repro.netlist.codegen`), and incremental runs
+re-evaluate edit cones through per-cell closures; both are printed
+from the probability and density rules of the one cell-kind table,
+:data:`repro.netlist.cells.KIND_TABLE`, next to the lane rules the
+simulators run.
 """
 
 from repro.estimate.probability import (

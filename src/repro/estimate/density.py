@@ -24,9 +24,11 @@ compiled IR through the generated flat density pass
 exec-compiled straight-line function over flat per-net float arrays
 with the Boolean-difference probabilities in closed form per kind,
 instead of the reference implementation's per-(cell, pin) truth-table
-enumeration (:mod:`repro.estimate.reference`).  The pass emits the
-per-cell fused kernels' arithmetic verbatim, so both agree bit for
-bit.
+enumeration (:mod:`repro.estimate.reference`).  The pass and the
+per-cell closures incremental runs use
+(:attr:`~repro.netlist.compiled.CompiledCircuit.cell_density`) are
+both printed from the density rules of
+:data:`repro.netlist.cells.KIND_TABLE`, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ def _density_array(
     probs: list,
     input_densities: Mapping[int, float],
 ) -> list:
-    """Flat per-net transition densities via the fused kernels.
+    """Flat per-net transition densities via the generated pass.
 
     *probs* is the flat one-probability array
     (:func:`~repro.estimate.probability._probability_array`) — taken as

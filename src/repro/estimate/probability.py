@@ -19,14 +19,17 @@ ablation experiment quantifies this gap).
 The propagation runs on the compiled circuit IR through the *generated
 flat probability pass*
 (:data:`~repro.netlist.compiled.CompiledCircuit.prob_pass`, one
-exec-compiled function with one straight-line statement per cell,
-emitting exactly the per-cell fused kernels' arithmetic) over a flat
-per-net float array — no per-cell call, kind branching or truth-table
-enumeration in the loop.  The original dict walking implementation
-survives as the oracle in :mod:`repro.estimate.reference`; property
-tests pin agreement to 1e-12, and the generated pass is bit-equal to
-the fused per-cell kernels by construction (identical expressions,
-identical association order).
+exec-compiled function with one straight-line statement per cell
+output) over a flat per-net float array — no per-cell call, kind
+branching or truth-table enumeration in the loop.  Incremental runs
+re-evaluate edit cones through the per-cell closures
+(:attr:`~repro.netlist.compiled.CompiledCircuit.cell_prob`).  Both
+are printed from the probability rules of
+:data:`repro.netlist.cells.KIND_TABLE`, so they evaluate the same
+expressions in the same association order and agree bit for bit.
+The original dict walking implementation survives as the oracle in
+:mod:`repro.estimate.reference`; property tests pin agreement to
+1e-12.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ def _validated_input_values(
 def _probability_array(
     cc: CompiledCircuit, input_probs: Dict[int, float]
 ) -> List[float]:
-    """Flat per-net one-probabilities via the fused kernels.
+    """Flat per-net one-probabilities via the generated pass.
 
     Undriven non-input nets read as 0.5 (maximum uncertainty), like
     the reference implementation's ``values.get(n, 0.5)``.  Flipflop
@@ -122,9 +125,9 @@ def _probability_array_cone(
     *base* is the parent circuit's converged probability array (the
     child extends it index-aligned — see
     :mod:`repro.netlist.delta`); only cells in *cone_cells* are
-    re-evaluated, through the per-cell fused kernels
+    re-evaluated, through the per-cell closures
     (:attr:`CompiledCircuit.cell_prob` — bit-equal to the generated
-    full pass by construction).
+    full pass by construction: both are printed from the same rule).
 
     Bit-identical to the full pass under either exactness condition
     the caller (:func:`repro.estimate.workload.incremental_workload`)

@@ -57,9 +57,9 @@ def _kind_probability(
         p_odd = (1.0 - prod) / 2.0
         return [p_odd if kind is CellKind.XOR else 1.0 - p_odd]
     # Small fixed-arity kinds: enumerate the truth table.
-    from repro.netlist.cells import OUTPUT_COUNT, evaluate_kind
+    from repro.netlist.cells import KIND_TABLE, evaluate_kind
 
-    n_out = OUTPUT_COUNT[kind]
+    n_out = KIND_TABLE[kind].n_out
     probs = [0.0] * n_out
     for combo in iter_product((0, 1), repeat=len(input_probs)):
         weight = 1.0

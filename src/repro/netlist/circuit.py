@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Tuple
 
-from repro.netlist.cells import (
-    Cell,
-    CellKind,
-    OUTPUT_COUNT,
-    check_arity,
-)
+from repro.netlist.cells import KIND_TABLE, Cell, CellKind, check_arity
 
 
 @dataclass
@@ -147,7 +142,7 @@ class Circuit:
         the driven net indices).
         """
         if outputs is None:
-            outputs = [self.new_net() for _ in range(OUTPUT_COUNT[kind])]
+            outputs = [self.new_net() for _ in range(KIND_TABLE[kind].n_out)]
         check_arity(kind, len(inputs), len(outputs))
         if name is None:
             name = f"u{self._anon_cell}_{kind.value.lower()}"
@@ -375,8 +370,9 @@ class Circuit:
         This is the zero-delay reference the event-driven simulator is
         checked against: after any cycle the settled simulator values
         must equal this function's result.  Both run the compiled
-        lane kernels, which are in turn checked exhaustively against
-        the :mod:`repro.netlist.cells` truth tables.
+        lane kernels printed from :data:`repro.netlist.cells.KIND_TABLE`,
+        which the tests check exhaustively against an independent
+        per-kind spec.
 
         Evaluation runs on the memoized compiled IR
         (:func:`repro.netlist.compiled.compile_circuit`), so repeated

@@ -1,25 +1,26 @@
 """Codegen layer: flat estimator kernels and levelization per compiled circuit.
 
-The compiled IR (:mod:`repro.netlist.compiled`) fuses each cell's
-probability and density rules over captured net indices, but a pass
-over those closures still pays one Python call, one returned tuple and
-one ``zip`` per cell.  This module removes that dispatch for the two
+The compiled IR (:mod:`repro.netlist.compiled`) builds one fused
+probability and density closure per cell, but a pass over those
+closures still pays one Python call, one returned tuple and one
+``zip`` per cell.  This module removes that dispatch for the two
 estimator passes by *emitting source code* for a whole pass — one
-straight-line statement per cell, in the cached topological order —
-and ``exec``-compiling it into a single flat function (chunked for
-very large netlists, see :data:`CHUNK_CELLS`).
+straight-line statement per cell output, in the cached topological
+order — and ``exec``-compiling it into a single flat function (chunked
+for very large netlists, see :data:`CHUNK_CELLS`).
 
-Two passes are generated per compiled circuit, each mirroring one of
-the fused kernel families **expression for expression**, so results
-are float-identical (the closed forms keep the same association order,
-so no rounding step can differ):
+Two passes are generated per compiled circuit:
 
 * :func:`build_prob_pass` — the signal-probability topological pass;
 * :func:`build_density_pass` — the transition-density topological
   pass.
 
-Both are used by :mod:`repro.estimate`; :func:`kernel_source` prints
-either one for inspection.
+Each statement is printed from the cell kind's rule in
+:data:`~repro.netlist.cells.KIND_TABLE`, the same rule the per-cell
+closures are printed from, so both evaluate the same expression in
+the same association order and agree bit for bit.  Both passes are
+used by :mod:`repro.estimate`; :func:`kernel_source` prints either one
+for inspection.
 
 It is also home to the structural *levelization* used by the numpy
 tier (:mod:`repro.sim.vector`): :func:`level_groups` buckets the topo
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.netlist.cells import CellKind
+from repro.netlist.cells import KIND_TABLE, CellKind
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -54,8 +55,8 @@ def _compile_blocks(
 ) -> Callable:
     """``exec``-compile per-cell statement *blocks* into one callable.
 
-    Each block is the statement list for one cell (relative
-    indentation included).  Oversized bodies are split into
+    Each block is the statement list for one cell.  Oversized
+    bodies are split into
     :data:`CHUNK_CELLS`-cell chunk functions called in order.
     """
     if not blocks:
@@ -83,131 +84,28 @@ def _compile_blocks(
 
 
 # ---------------------------------------------------------------------------
-# Per-kind expression emitters
-# ---------------------------------------------------------------------------
-#
-# Each emitter returns ``(prelude_statements, output_expressions)``.
-# The expressions are *exactly* the fused-kernel arithmetic from
-# repro.netlist.compiled with the captured indices inlined as literals;
-# any deviation (operand order, association) would break the
-# float-identity contract the estimators are tested against.
-
-def _prob_exprs(
-    kind: CellKind, ins: Tuple[int, ...]
-) -> Tuple[List[str], List[str]]:
-    p = [f"p[{n}]" for n in ins]
-    if kind is CellKind.CONST0:
-        return [], ["0.0"]
-    if kind is CellKind.CONST1:
-        return [], ["1.0"]
-    if kind in (CellKind.BUF, CellKind.DFF):
-        return [], [p[0]]
-    if kind is CellKind.NOT:
-        return [], [f"1.0 - {p[0]}"]
-    if kind is CellKind.MUX2:
-        s, a, b = p
-        return [], [f"(1.0 - {s}) * {a} + {s} * {b}"]
-    if kind is CellKind.HA:
-        a, b = p
-        return [], [f"{a} * (1.0 - {b}) + {b} * (1.0 - {a})", f"{a} * {b}"]
-    if kind is CellKind.FA:
-        a, b, c = p
-        pre = [
-            f"_t = (1.0 - 2.0 * {a}) * (1.0 - 2.0 * {b}) * (1.0 - 2.0 * {c})"
-        ]
-        return pre, [
-            "(1.0 - _t) / 2.0",
-            f"{a} * {b} + {c} * ({a} * (1.0 - {b}) + {b} * (1.0 - {a}))",
-        ]
-    if kind in (CellKind.AND, CellKind.NAND):
-        core = " * ".join(p)
-        if kind is CellKind.NAND:
-            return [], [f"1.0 - {core}"]
-        return [], [core]
-    if kind in (CellKind.OR, CellKind.NOR):
-        core = " * ".join(f"(1.0 - {x})" for x in p)
-        if kind is CellKind.NOR:
-            return [], [core]
-        return [], [f"1.0 - {core}"]
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        pre = ["_t = " + " * ".join(f"(1.0 - 2.0 * {x})" for x in p)]
-        if kind is CellKind.XNOR:
-            return pre, ["1.0 - (1.0 - _t) / 2.0"]
-        return pre, ["(1.0 - _t) / 2.0"]
-    raise NotImplementedError(f"no codegen probability rule for {kind}")
-
-
-def _density_exprs(
-    kind: CellKind, ins: Tuple[int, ...]
-) -> Tuple[List[str], List[str]]:
-    p = [f"p[{n}]" for n in ins]
-    d = [f"d[{n}]" for n in ins]
-    if kind in (CellKind.CONST0, CellKind.CONST1):
-        return [], ["0.0"]
-    if kind in (CellKind.BUF, CellKind.DFF, CellKind.NOT):
-        return [], [d[0]]
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        return [], [" + ".join(d)]
-    if kind is CellKind.MUX2:
-        ps, pa, pb = p
-        ds, da, db = d
-        return [], [
-            f"({pa} * (1.0 - {pb}) + {pb} * (1.0 - {pa})) * {ds}"
-            f" + (1.0 - {ps}) * {da} + {ps} * {db}"
-        ]
-    if kind is CellKind.HA:
-        pa, pb = p
-        da, db = d
-        return [], [f"{da} + {db}", f"{pb} * {da} + {pa} * {db}"]
-    if kind is CellKind.FA:
-        pa, pb, pc = p
-        da, db, dc = d
-        return [], [
-            f"{da} + {db} + {dc}",
-            f"({pb} * (1.0 - {pc}) + {pc} * (1.0 - {pb})) * {da}"
-            f" + ({pa} * (1.0 - {pc}) + {pc} * (1.0 - {pa})) * {db}"
-            f" + ({pa} * (1.0 - {pb}) + {pb} * (1.0 - {pa})) * {dc}",
-        ]
-    if kind in (CellKind.AND, CellKind.NAND):
-        if len(ins) == 2:
-            return [], [f"{p[1]} * {d[0]} + {p[0]} * {d[1]}"]
-        terms = []
-        for pin in range(len(ins)):
-            w = " * ".join(p[j] for j in range(len(ins)) if j != pin)
-            terms.append(f"{w} * {d[pin]}")
-        return [], [" + ".join(terms)]
-    if kind in (CellKind.OR, CellKind.NOR):
-        if len(ins) == 2:
-            return [], [
-                f"(1.0 - {p[1]}) * {d[0]} + (1.0 - {p[0]}) * {d[1]}"
-            ]
-        terms = []
-        for pin in range(len(ins)):
-            w = " * ".join(
-                f"(1.0 - {p[j]})" for j in range(len(ins)) if j != pin
-            )
-            terms.append(f"{w} * {d[pin]}")
-        return [], [" + ".join(terms)]
-    raise NotImplementedError(f"no codegen density rule for {kind}")
-
-
-# ---------------------------------------------------------------------------
 # Pass builders
 # ---------------------------------------------------------------------------
 
 def _estimator_blocks(cc: "CompiledCircuit", which: str) -> List[List[str]]:
+    """One ``[statement per output]`` block per cell, in topo order.
+
+    The right-hand sides are the :data:`~repro.netlist.cells.KIND_TABLE`
+    rules with the cell's net indices inlined as literals.
+    """
     blocks = []
     for ci in cc.topo:
+        ins = cc.cell_inputs[ci]
+        rule = KIND_TABLE[cc.cell_kinds[ci]]
+        p = [f"p[{n}]" for n in ins]
         if which == "prob":
-            pre, outs = _prob_exprs(cc.cell_kinds[ci], cc.cell_inputs[ci])
-            target = "p"
+            target, outs = "p", rule.prob(p)
         else:
-            pre, outs = _density_exprs(cc.cell_kinds[ci], cc.cell_inputs[ci])
-            target = "d"
-        block = list(pre)
-        for out_net, expr in zip(cc.cell_outputs[ci], outs):
-            block.append(f"{target}[{out_net}] = {expr}")
-        blocks.append(block)
+            target, outs = "d", rule.density(p, [f"d[{n}]" for n in ins])
+        blocks.append([
+            f"{target}[{out_net}] = {expr}"
+            for out_net, expr in zip(cc.cell_outputs[ci], outs)
+        ])
     return blocks
 
 

@@ -10,8 +10,10 @@ O(nets) instead of O(cells·outputs) with repeated delay-model calls.
 
 The :class:`CompiledCircuit` holds:
 
-* per-cell flat tuples — input nets, output nets, kind, lane kernel,
-  sequential flag;
+* per-cell flat tuples — input nets, output nets, kind, lane kernel
+  (printed from the kind's row of
+  :data:`repro.netlist.cells.KIND_TABLE`, like the lazily built
+  probability and density kernels), sequential flag;
 * ``out_specs`` — per combinational cell, ``((out_net, delay), ...)``
   pairs pre-resolved through the delay model (``None`` when compiled
   without one, e.g. for purely functional evaluation);
@@ -48,7 +50,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Mapping, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-from repro.netlist.cells import Cell, CellKind, _EVALUATORS
+from repro.netlist.cells import Cell, CellKind, kernel_factory
 from repro.obs import trace as obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -56,461 +58,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.sim.delays import DelayModel
 
 
-# ---------------------------------------------------------------------------
-# Fused bitwise (lane-packed) kernels
-# ---------------------------------------------------------------------------
-#
-# The generic evaluation pattern — ``ins = [values[n] for n in nets];
-# outs = evaluator(ins)`` — allocates one throwaway list per cell per
-# evaluation, which the simulators pay millions of times per run.  A
-# *fused* kernel captures the cell's input net indices at compile time
-# and reads the flat per-net array directly, with a branch-free bitop
-# body specialized per (kind, arity); other arities fall back to the
-# generic list-building form, so every kind keeps working.
-#
-# Every kernel is lane-packed: one integer per net, each bit one
-# independent lane, inversions against an explicit lane mask.  The
-# bit-parallel backend packs one clock cycle per lane; the waveform
-# backend packs one intra-cycle event time per lane; the event-driven
-# engine and :meth:`CompiledCircuit.evaluate_flat` run the same
-# kernels at mask 1 (one lane, plain 0/1 values).  This is the one
-# Python definition of each cell kind's logic on the simulation path;
-# ``tests/test_netlist_compiled.py`` checks it exhaustively against the
-# :mod:`repro.netlist.cells` evaluators.
+def _fuse(kind: CellKind, nets: Tuple[int, ...], form: str = "lane") -> Callable:
+    """One cell's fused *form* kernel (see :func:`kernel_factory`).
 
-def _bits_const0(ins, mask):
-    return (0,)
-
-
-def _bits_const1(ins, mask):
-    return (mask,)
-
-
-def _bits_buf(ins, mask):
-    return (ins[0],)
-
-
-def _bits_not(ins, mask):
-    return (ins[0] ^ mask,)
-
-
-def _bits_and(ins, mask):
-    out = mask
-    for v in ins:
-        out &= v
-    return (out,)
-
-
-def _bits_or(ins, mask):
-    out = 0
-    for v in ins:
-        out |= v
-    return (out,)
-
-
-def _bits_nand(ins, mask):
-    return (_bits_and(ins, mask)[0] ^ mask,)
-
-
-def _bits_nor(ins, mask):
-    return (_bits_or(ins, mask)[0] ^ mask,)
-
-
-def _bits_xor(ins, mask):
-    out = 0
-    for v in ins:
-        out ^= v
-    return (out,)
-
-
-def _bits_xnor(ins, mask):
-    return (_bits_xor(ins, mask)[0] ^ mask,)
-
-
-def _bits_mux2(ins, mask):
-    sel, a, b = ins
-    return (a ^ ((a ^ b) & sel),)
-
-
-def _bits_ha(ins, mask):
-    a, b = ins
-    return (a ^ b, a & b)
-
-
-def _bits_fa(ins, mask):
-    a, b, cin = ins
-    p = a ^ b
-    return (p ^ cin, (a & b) | (cin & p))
-
-
-#: Generic bitwise evaluators by kind (fallback for the fused forms).
-#: ``DFF`` maps to its transparent (buffer) view; no simulator ever
-#: evaluates a sequential cell through these.
-_BIT_EVALUATORS = {
-    CellKind.CONST0: _bits_const0,
-    CellKind.CONST1: _bits_const1,
-    CellKind.BUF: _bits_buf,
-    CellKind.NOT: _bits_not,
-    CellKind.AND: _bits_and,
-    CellKind.OR: _bits_or,
-    CellKind.NAND: _bits_nand,
-    CellKind.NOR: _bits_nor,
-    CellKind.XOR: _bits_xor,
-    CellKind.XNOR: _bits_xnor,
-    CellKind.MUX2: _bits_mux2,
-    CellKind.HA: _bits_ha,
-    CellKind.FA: _bits_fa,
-    CellKind.DFF: _bits_buf,
-}
-
-
-def _fuse_bits_generic(evaluator, nets):
-    def f(bits, mask, _e=evaluator, _n=nets):
-        return _e([bits[n] for n in _n], mask)
-    return f
-
-
-def _fuse_bits(
-    kind: CellKind, nets: Tuple[int, ...]
-) -> Callable[[Sequence[int], int], Tuple[int, ...]]:
-    """Build the fused bitmask kernel for one cell instance."""
-    n = len(nets)
-    if kind is CellKind.CONST0:
-        return lambda bits, mask: (0,)
-    if kind is CellKind.CONST1:
-        return lambda bits, mask: (mask,)
-    if kind in (CellKind.BUF, CellKind.DFF):
-        a, = nets
-        return lambda bits, mask, _a=a: (bits[_a],)
-    if kind is CellKind.NOT:
-        a, = nets
-        return lambda bits, mask, _a=a: (bits[_a] ^ mask,)
-    if kind is CellKind.MUX2:
-        s, a, b = nets
-        return lambda bits, mask, _s=s, _a=a, _b=b: (
-            bits[_a] ^ ((bits[_a] ^ bits[_b]) & bits[_s]),
-        )
-    if kind is CellKind.HA:
-        a, b = nets
-        def f_ha(bits, mask, _a=a, _b=b):
-            x, y = bits[_a], bits[_b]
-            return (x ^ y, x & y)
-        return f_ha
-    if kind is CellKind.FA:
-        a, b, c = nets
-        def f_fa(bits, mask, _a=a, _b=b, _c=c):
-            x, y, z = bits[_a], bits[_b], bits[_c]
-            p = x ^ y
-            return (p ^ z, (x & y) | (z & p))
-        return f_fa
-    if kind in (CellKind.AND, CellKind.NAND):
-        invert = kind is CellKind.NAND
-        if n == 2:
-            a, b = nets
-            if invert:
-                return lambda bits, mask, _a=a, _b=b: (
-                    (bits[_a] & bits[_b]) ^ mask,
-                )
-            return lambda bits, mask, _a=a, _b=b: (bits[_a] & bits[_b],)
-        if n == 3:
-            a, b, c = nets
-            if invert:
-                return lambda bits, mask, _a=a, _b=b, _c=c: (
-                    (bits[_a] & bits[_b] & bits[_c]) ^ mask,
-                )
-            return lambda bits, mask, _a=a, _b=b, _c=c: (
-                bits[_a] & bits[_b] & bits[_c],
-            )
-    if kind in (CellKind.OR, CellKind.NOR):
-        invert = kind is CellKind.NOR
-        if n == 2:
-            a, b = nets
-            if invert:
-                return lambda bits, mask, _a=a, _b=b: (
-                    (bits[_a] | bits[_b]) ^ mask,
-                )
-            return lambda bits, mask, _a=a, _b=b: (bits[_a] | bits[_b],)
-        if n == 3:
-            a, b, c = nets
-            if invert:
-                return lambda bits, mask, _a=a, _b=b, _c=c: (
-                    (bits[_a] | bits[_b] | bits[_c]) ^ mask,
-                )
-            return lambda bits, mask, _a=a, _b=b, _c=c: (
-                bits[_a] | bits[_b] | bits[_c],
-            )
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        invert = kind is CellKind.XNOR
-        if n == 2:
-            a, b = nets
-            if invert:
-                return lambda bits, mask, _a=a, _b=b: (
-                    bits[_a] ^ bits[_b] ^ mask,
-                )
-            return lambda bits, mask, _a=a, _b=b: (bits[_a] ^ bits[_b],)
-        if n == 3:
-            a, b, c = nets
-            if invert:
-                return lambda bits, mask, _a=a, _b=b, _c=c: (
-                    bits[_a] ^ bits[_b] ^ bits[_c] ^ mask,
-                )
-            return lambda bits, mask, _a=a, _b=b, _c=c: (
-                bits[_a] ^ bits[_b] ^ bits[_c],
-            )
-    return _fuse_bits_generic(_BIT_EVALUATORS[kind], nets)
-
-
-# ---------------------------------------------------------------------------
-# Fused probability / transition-density kernels
-# ---------------------------------------------------------------------------
-#
-# The estimation layer (:mod:`repro.estimate`) propagates *floats* —
-# signal one-probabilities and Najm transition densities — through the
-# same netlist the simulators evaluate.  The seed estimators branched
-# on the cell kind and enumerated truth tables per evaluation; these
-# kernels instead specialize the closed-form propagation rule per cell
-# instance, reading flat per-net float arrays via captured indices,
-# exactly like :func:`_fuse_bits` does for bits.  They are part of the
-# compiled snapshot (memoized with it), built lazily on first
-# estimator access — see :attr:`CompiledCircuit.cell_prob`.
-#
-# A probability kernel maps the flat ``probs`` array to the cell's
-# output one-probabilities under spatial independence of its inputs.
-# A density kernel maps ``(probs, dens)`` to the cell's output
-# transition densities through Boolean-difference sensitisation:
-# ``D(y) = sum_i P(dy/dx_i) * D(x_i)`` with the difference probability
-# taken over the other inputs.  Kinds outside the closed-form tables
-# fall back to truth-table enumeration (the seed semantics), so every
-# kind keeps working; the fallback matches the specialized forms to
-# float rounding.
-
-def _prob_table_generic(kind: CellKind, nets):
-    """Truth-table probability fallback (seed enumeration order)."""
-    from itertools import product as iter_product
-
-    from repro.netlist.cells import OUTPUT_COUNT
-
-    evaluator = _EVALUATORS[kind]
-    n_out = OUTPUT_COUNT[kind]
-    combos = tuple(iter_product((0, 1), repeat=len(nets)))
-
-    def f(probs, _nets=nets, _combos=combos, _e=evaluator, _n_out=n_out):
-        out = [0.0] * _n_out
-        for combo in _combos:
-            weight = 1.0
-            for bit, net in zip(combo, _nets):
-                p = probs[net]
-                weight *= p if bit else 1.0 - p
-            outs = _e(combo)
-            for k in range(_n_out):
-                if outs[k]:
-                    out[k] += weight
-        return tuple(out)
-
-    return f
-
-
-def _fuse_prob(kind: CellKind, nets: Tuple[int, ...]):
-    """Build the fused signal-probability kernel for one cell."""
-    n = len(nets)
-    if kind is CellKind.CONST0:
-        return lambda probs: (0.0,)
-    if kind is CellKind.CONST1:
-        return lambda probs: (1.0,)
-    if kind in (CellKind.BUF, CellKind.DFF):
-        a, = nets
-        return lambda probs, _a=a: (probs[_a],)
-    if kind is CellKind.NOT:
-        a, = nets
-        return lambda probs, _a=a: (1.0 - probs[_a],)
-    if kind is CellKind.MUX2:
-        s, a, b = nets
-        return lambda probs, _s=s, _a=a, _b=b: (
-            (1.0 - probs[_s]) * probs[_a] + probs[_s] * probs[_b],
-        )
-    if kind is CellKind.HA:
-        a, b = nets
-        def f_ha(probs, _a=a, _b=b):
-            pa, pb = probs[_a], probs[_b]
-            return (pa * (1.0 - pb) + pb * (1.0 - pa), pa * pb)
-        return f_ha
-    if kind is CellKind.FA:
-        a, b, c = nets
-        def f_fa(probs, _a=a, _b=b, _c=c):
-            pa, pb, pc = probs[_a], probs[_b], probs[_c]
-            prod = (1.0 - 2.0 * pa) * (1.0 - 2.0 * pb) * (1.0 - 2.0 * pc)
-            carry = pa * pb + pc * (pa * (1.0 - pb) + pb * (1.0 - pa))
-            return ((1.0 - prod) / 2.0, carry)
-        return f_fa
-    if kind in (CellKind.AND, CellKind.NAND):
-        inv = kind is CellKind.NAND
-        if n == 2:
-            a, b = nets
-            if inv:
-                return lambda probs, _a=a, _b=b: (
-                    1.0 - probs[_a] * probs[_b],
-                )
-            return lambda probs, _a=a, _b=b: (probs[_a] * probs[_b],)
-        def f_and(probs, _n=nets, _inv=inv):
-            p = 1.0
-            for net in _n:
-                p *= probs[net]
-            return (1.0 - p,) if _inv else (p,)
-        return f_and
-    if kind in (CellKind.OR, CellKind.NOR):
-        inv = kind is CellKind.NOR
-        if n == 2:
-            a, b = nets
-            if inv:
-                return lambda probs, _a=a, _b=b: (
-                    (1.0 - probs[_a]) * (1.0 - probs[_b]),
-                )
-            return lambda probs, _a=a, _b=b: (
-                1.0 - (1.0 - probs[_a]) * (1.0 - probs[_b]),
-            )
-        def f_or(probs, _n=nets, _inv=inv):
-            q = 1.0
-            for net in _n:
-                q *= 1.0 - probs[net]
-            return (q,) if _inv else (1.0 - q,)
-        return f_or
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        inv = kind is CellKind.XNOR
-        def f_xor(probs, _n=nets, _inv=inv):
-            prod = 1.0
-            for net in _n:
-                prod *= 1.0 - 2.0 * probs[net]
-            p_odd = (1.0 - prod) / 2.0
-            return (1.0 - p_odd,) if _inv else (p_odd,)
-        return f_xor
-    return _prob_table_generic(kind, nets)
-
-
-def _density_table_generic(kind: CellKind, nets):
-    """Truth-table Boolean-difference fallback (seed enumeration order)."""
-    from itertools import product as iter_product
-
-    from repro.netlist.cells import OUTPUT_COUNT
-
-    evaluator = _EVALUATORS[kind]
-    n_out = OUTPUT_COUNT[kind]
-    arity = len(nets)
-
-    def f(probs, dens, _nets=nets, _e=evaluator, _n_out=n_out, _ar=arity):
-        totals = [0.0] * _n_out
-        for pin in range(_ar):
-            d_in = dens[_nets[pin]]
-            if d_in == 0.0:
-                continue
-            others = [i for i in range(_ar) if i != pin]
-            diff = [0.0] * _n_out
-            for combo in iter_product((0, 1), repeat=len(others)):
-                weight = 1.0
-                assignment = [0] * _ar
-                for idx, bit in zip(others, combo):
-                    assignment[idx] = bit
-                    p = probs[_nets[idx]]
-                    weight *= p if bit else 1.0 - p
-                assignment[pin] = 0
-                low = _e(assignment)
-                assignment[pin] = 1
-                high = _e(assignment)
-                for k in range(_n_out):
-                    if low[k] != high[k]:
-                        diff[k] += weight
-            for k in range(_n_out):
-                totals[k] += diff[k] * d_in
-        return tuple(totals)
-
-    return f
-
-
-def _fuse_density(kind: CellKind, nets: Tuple[int, ...]):
-    """Build the fused transition-density kernel for one cell."""
-    n = len(nets)
-    if kind in (CellKind.CONST0, CellKind.CONST1):
-        return lambda probs, dens: (0.0,)
-    if kind in (CellKind.BUF, CellKind.DFF, CellKind.NOT):
-        a, = nets
-        return lambda probs, dens, _a=a: (dens[_a],)
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        # Every pin is always sensitised: D(y) = sum_i D(x_i).
-        def f_xor(probs, dens, _n=nets):
-            total = 0.0
-            for net in _n:
-                total += dens[net]
-            return (total,)
-        return f_xor
-    if kind is CellKind.MUX2:
-        s, a, b = nets
-        def f_mux(probs, dens, _s=s, _a=a, _b=b):
-            ps, pa, pb = probs[_s], probs[_a], probs[_b]
-            return (
-                (pa * (1.0 - pb) + pb * (1.0 - pa)) * dens[_s]
-                + (1.0 - ps) * dens[_a]
-                + ps * dens[_b],
-            )
-        return f_mux
-    if kind is CellKind.HA:
-        a, b = nets
-        def f_ha(probs, dens, _a=a, _b=b):
-            da, db = dens[_a], dens[_b]
-            return (da + db, probs[_b] * da + probs[_a] * db)
-        return f_ha
-    if kind is CellKind.FA:
-        a, b, c = nets
-        def f_fa(probs, dens, _a=a, _b=b, _c=c):
-            pa, pb, pc = probs[_a], probs[_b], probs[_c]
-            da, db, dc = dens[_a], dens[_b], dens[_c]
-            # d(carry)/dx = XOR of the other two inputs (majority).
-            return (
-                da + db + dc,
-                (pb * (1.0 - pc) + pc * (1.0 - pb)) * da
-                + (pa * (1.0 - pc) + pc * (1.0 - pa)) * db
-                + (pa * (1.0 - pb) + pb * (1.0 - pa)) * dc,
-            )
-        return f_fa
-    if kind in (CellKind.AND, CellKind.NAND):
-        # dy/dx_i = AND of the other inputs (inversion cancels out).
-        if n == 2:
-            a, b = nets
-            return lambda probs, dens, _a=a, _b=b: (
-                probs[_b] * dens[_a] + probs[_a] * dens[_b],
-            )
-        def f_and(probs, dens, _n=nets):
-            total = 0.0
-            for pin, net in enumerate(_n):
-                d_in = dens[net]
-                if d_in == 0.0:
-                    continue
-                w = 1.0
-                for j, other in enumerate(_n):
-                    if j != pin:
-                        w *= probs[other]
-                total += w * d_in
-            return (total,)
-        return f_and
-    if kind in (CellKind.OR, CellKind.NOR):
-        if n == 2:
-            a, b = nets
-            return lambda probs, dens, _a=a, _b=b: (
-                (1.0 - probs[_b]) * dens[_a]
-                + (1.0 - probs[_a]) * dens[_b],
-            )
-        def f_or(probs, dens, _n=nets):
-            total = 0.0
-            for pin, net in enumerate(_n):
-                d_in = dens[net]
-                if d_in == 0.0:
-                    continue
-                w = 1.0
-                for j, other in enumerate(_n):
-                    if j != pin:
-                        w *= 1.0 - probs[other]
-                total += w * d_in
-            return (total,)
-        return f_or
-    return _density_table_generic(kind, nets)
+    A fused kernel captures the cell's input net indices and reads the
+    flat per-net array directly, so no evaluation allocates an input
+    list.  Lane kernels are lane-packed: one integer per net, each bit
+    one independent lane, inversions against an explicit lane mask.
+    The bit-parallel backend packs one clock cycle per lane, the
+    waveform backend one intra-cycle event time per lane; the
+    event-driven engine and :meth:`CompiledCircuit.evaluate_flat` run
+    them at mask 1 (one lane, plain 0/1 values).
+    """
+    return kernel_factory(kind, len(nets), form)(*nets)
 
 
 @dataclass(frozen=True)
@@ -531,7 +91,7 @@ class CompiledCircuit:
     cell_kinds: Tuple[CellKind, ...]
     cell_inputs: Tuple[Tuple[int, ...], ...]
     cell_outputs: Tuple[Tuple[int, ...], ...]
-    #: Per-cell fused lane kernels (see :func:`_fuse_bits`): read a
+    #: Per-cell fused lane kernels (see :func:`_fuse`): read a
     #: per-net integer-bitmask array directly via captured net indices,
     #: one independent lane per bit.  The bit-parallel backend packs
     #: clock cycles into lanes, the waveform backend intra-cycle event
@@ -559,15 +119,15 @@ class CompiledCircuit:
     def cell_prob(
         self,
     ) -> Tuple[Callable[[Sequence[float]], Tuple[float, ...]], ...]:
-        """Per-cell fused signal-probability kernels (:func:`_fuse_prob`).
+        """Per-cell fused signal-probability kernels (``f(p)``).
 
         Flat per-net float array in, output one-probabilities out.
-        The estimation layer (:mod:`repro.estimate`) runs one pass
-        over these instead of branching on kinds per cell per
-        evaluation.
+        The incremental estimators re-evaluate edit cones through
+        these; whole-circuit passes run :attr:`prob_pass`, printed
+        from the same rules.
         """
         return tuple(
-            _fuse_prob(kind, nets)
+            _fuse(kind, nets, "prob")
             for kind, nets in zip(self.cell_kinds, self.cell_inputs)
         )
 
@@ -577,13 +137,13 @@ class CompiledCircuit:
     ) -> Tuple[
         Callable[[Sequence[float], Sequence[float]], Tuple[float, ...]], ...
     ]:
-        """Per-cell fused transition-density kernels (:func:`_fuse_density`).
+        """Per-cell fused transition-density kernels (``f(p, d)``).
 
         ``(probs, dens)`` flat arrays in, output Najm transition
         densities out.
         """
         return tuple(
-            _fuse_density(kind, nets)
+            _fuse(kind, nets, "density")
             for kind, nets in zip(self.cell_kinds, self.cell_inputs)
         )
 
@@ -911,7 +471,7 @@ def _build(
         cell_kinds.append(cell.kind)
         cell_inputs.append(cell.inputs)
         cell_outputs.append(cell.outputs)
-        cell_eval_bits.append(_fuse_bits(cell.kind, cell.inputs))
+        cell_eval_bits.append(_fuse(cell.kind, cell.inputs))
         seq = cell.is_sequential
         cell_is_seq.append(seq)
         if seq:
@@ -1090,7 +650,7 @@ def _build_delta(
             cell_eval_bits.append(parent_bits[ci])
         else:
             touched_idx.append(ci)
-            cell_eval_bits.append(_fuse_bits(cell.kind, cell.inputs))
+            cell_eval_bits.append(_fuse(cell.kind, cell.inputs))
         seq = cell.is_sequential
         cell_is_seq.append(seq)
         if seq:
@@ -1149,14 +709,14 @@ def _build_delta(
         parent_prob = parent_cc.cell_prob
         compiled.__dict__["cell_prob"] = tuple(
             parent_prob[ci] if reused[ci]
-            else _fuse_prob(cell_kinds[ci], cell_inputs[ci])
+            else _fuse(cell_kinds[ci], cell_inputs[ci], "prob")
             for ci in range(len(cells))
         )
     if delay_model is None or "cell_density" in parent_cc.__dict__:
         parent_density = parent_cc.cell_density
         compiled.__dict__["cell_density"] = tuple(
             parent_density[ci] if reused[ci]
-            else _fuse_density(cell_kinds[ci], cell_inputs[ci])
+            else _fuse(cell_kinds[ci], cell_inputs[ci], "density")
             for ci in range(len(cells))
         )
     return compiled

@@ -4,9 +4,11 @@
 single ndarray operations.  The levelized grouping comes from
 :func:`repro.netlist.codegen.level_groups`: cells sharing
 ``(level, kind, arity, delays)`` are gathered into index arrays once
-per compiled circuit, so one batch step executes a few hundred numpy
-ops regardless of cell count — which is what makes 100k-cell netlists
-routine (ROADMAP open item 1).
+per compiled circuit, and each group runs its kind's lane form
+(:func:`repro.netlist.cells.lane_kernel`, the expression the int
+engines evaluate per cell) on the gathered rows, so one batch step
+executes a few hundred numpy ops regardless of cell count — which is
+what makes 100k-cell netlists routine.
 
 Lane packing differs from the int backends: a net's state is a row of
 ``uint64`` words with one *clock cycle per bit* (``ceil(nb / 64)``
@@ -31,7 +33,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 from repro.core.transitions import NodeActivity
-from repro.netlist.cells import CellKind
+from repro.netlist.cells import lane_kernel
 from repro.netlist.circuit import Circuit
 from repro.netlist.codegen import static_event_horizon
 from repro.netlist.compiled import CompiledCircuit, compile_circuit
@@ -76,46 +78,11 @@ def _shl1(a, Mw):
     return out & Mw
 
 
-def _apply_group(kind, ins, Mw):
-    """Vectorized kind op over gathered input arrays (lane semantics
-    identical to the fused bitmask kernels)."""
-    if kind in (CellKind.BUF, CellKind.DFF):
-        return (ins[0],)
-    if kind is CellKind.NOT:
-        return (Mw ^ ins[0],)
-    if kind is CellKind.MUX2:
-        s, a, b = ins
-        return (a ^ ((a ^ b) & s),)
-    if kind is CellKind.HA:
-        a, b = ins
-        return (a ^ b, a & b)
-    if kind is CellKind.FA:
-        a, b, c = ins
-        p = a ^ b
-        return (p ^ c, (a & b) | (c & p))
-    if kind in (CellKind.AND, CellKind.NAND):
-        out = ins[0]
-        for a in ins[1:]:
-            out = out & a
-        return (Mw ^ out,) if kind is CellKind.NAND else (out,)
-    if kind in (CellKind.OR, CellKind.NOR):
-        out = ins[0]
-        for a in ins[1:]:
-            out = out | a
-        return (Mw ^ out,) if kind is CellKind.NOR else (out,)
-    if kind in (CellKind.XOR, CellKind.XNOR):
-        out = ins[0]
-        for a in ins[1:]:
-            out = out ^ a
-        return (Mw ^ out,) if kind is CellKind.XNOR else (out,)
-    raise NotImplementedError(f"no vector lowering for {kind}")
-
-
 class _VecGroup:
-    __slots__ = ("kind", "pins", "outs")
+    __slots__ = ("op", "pins", "outs")
 
-    def __init__(self, kind, pins, outs):
-        self.kind = kind
+    def __init__(self, op, pins, outs):
+        self.op = op        # lane_kernel(kind, arity): f(ins, Mw) -> outs
         self.pins = pins    # per pin: np.intp index array over nets
         self.outs = outs    # per output position: (delay|None, intp array)
 
@@ -134,7 +101,7 @@ class _VecPlan:
         self.buffers: Dict[tuple, tuple] = {}
         self.groups = [
             _VecGroup(
-                g.kind,
+                lane_kernel(g.kind, len(g.pins)),
                 [np.asarray(p, dtype=np.intp) for p in g.pins],
                 [
                     (dly, np.asarray(nets, dtype=np.intp))
@@ -220,15 +187,7 @@ class VectorBackend:
     def _zero_pass(self, lanes, Mw):
         """One combinational pass over the level groups (zero-delay)."""
         for g in self._plan.groups:
-            kind = g.kind
-            if kind is CellKind.CONST0:
-                lanes[g.outs[0][1]] = 0
-                continue
-            if kind is CellKind.CONST1:
-                lanes[g.outs[0][1]] = Mw
-                continue
-            ins = [lanes[idx] for idx in g.pins]
-            outs = _apply_group(kind, ins, Mw)
+            outs = g.op([lanes[idx] for idx in g.pins], Mw)
             for (_dly, oidx), arr in zip(g.outs, outs):
                 lanes[oidx] = arr
 
@@ -479,11 +438,9 @@ class VectorBackend:
             wave[edge] = sl[edge][:, None, :]
 
             for g in plan.groups:
-                kind = g.kind
-                if kind in (CellKind.CONST0, CellKind.CONST1):
-                    continue  # constant waveforms, no transitions
-                ins = [wave[idx] for idx in g.pins]
-                raws = _apply_group(kind, ins, Mw)
+                if not g.pins:
+                    continue  # constants: flat waveforms, no transitions
+                raws = g.op([wave[idx] for idx in g.pins], Mw)
                 for (dly, oidx), raw in zip(g.outs, raws):
                     out = np.empty_like(raw)
                     out[:, :dly, :] = ps[oidx][:, None, :]

@@ -6,8 +6,38 @@ import random
 
 import pytest
 
-from repro.netlist.cells import CellKind
+from repro.netlist.cells import KIND_TABLE, CellKind
 from repro.netlist.circuit import Circuit
+
+
+#: Each kind's function on one 0/1 input combination, written from the
+#: kind's definition (all / any / parity, the mux select, ``a+b(+cin)``
+#: as sum and carry bits) and independently of ``KIND_TABLE``, so the
+#: kernels printed from the table can be checked against it.
+KIND_SPEC = {
+    CellKind.CONST0: lambda v: (0,),
+    CellKind.CONST1: lambda v: (1,),
+    CellKind.BUF: lambda v: (v[0],),
+    CellKind.DFF: lambda v: (v[0],),
+    CellKind.NOT: lambda v: (1 - v[0],),
+    CellKind.AND: lambda v: (int(all(v)),),
+    CellKind.NAND: lambda v: (1 - all(v),),
+    CellKind.OR: lambda v: (int(any(v)),),
+    CellKind.NOR: lambda v: (1 - any(v),),
+    CellKind.XOR: lambda v: (sum(v) % 2,),
+    CellKind.XNOR: lambda v: (1 - sum(v) % 2,),
+    CellKind.MUX2: lambda v: (v[2] if v[0] else v[1],),
+    CellKind.HA: lambda v: (sum(v) % 2, sum(v) // 2),
+    CellKind.FA: lambda v: (sum(v) % 2, sum(v) // 2),
+}
+
+
+def kernel_cases():
+    """(kind, arity) for every kind: n-ary kinds at arities 1..5."""
+    for kind in CellKind:
+        arity = KIND_TABLE[kind].arity
+        for n in range(1, 6) if arity is None else (arity,):
+            yield kind, n
 
 
 @pytest.fixture

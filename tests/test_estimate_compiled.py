@@ -46,7 +46,7 @@ from repro.sim.vectors import (
     UniformStimulus,
 )
 
-from tests.conftest import random_dag_circuit
+from tests.conftest import kernel_cases, random_dag_circuit
 
 seeds = st.integers(min_value=0, max_value=2**31)
 
@@ -172,6 +172,67 @@ class TestGeneratedEstimatorPasses:
             transition_densities(circuit, dens, probs),
             transition_densities_reference(circuit, dens, probs),
         )
+
+
+class TestPerCellFloatKernels:
+    """Each (kind, arity)'s per-cell probability/density closures.
+
+    The incremental estimators run the closures (``cell_prob``,
+    ``cell_density``) over edit cones and the generated passes
+    everywhere else, so the two must agree with ``==``.  A one-cell
+    circuit makes the generated pass evaluate exactly that cell; both
+    are also held to the reference oracle.
+    """
+
+    @staticmethod
+    def _cases(n, rng):
+        """(probs, densities) per input: 0 / 0.5 / 1 / random probs,
+        densities with some exact zeros."""
+        vecs = [[0.0] * n, [0.5] * n, [1.0] * n]
+        vecs += [
+            [rng.choice((0.0, 0.5, 1.0, rng.random())) for _ in range(n)]
+            for _ in range(40)
+        ]
+        return [
+            (pv, [0.0 if rng.random() < 0.3 else rng.random()
+                  for _ in range(n)])
+            for pv in vecs
+        ]
+
+    @pytest.mark.parametrize(
+        "kind,n", list(kernel_cases()),
+        ids=lambda v: v.value if isinstance(v, CellKind) else str(v),
+    )
+    def test_closures_equal_generated_pass_and_reference(self, kind, n):
+        c = Circuit("one_cell")
+        ins = [c.add_input(f"i{k}") for k in range(n)]
+        cell = c.add_cell(kind, ins, name="u")
+        for k, out in enumerate(cell.outputs):
+            c.mark_output(out, f"o{k}")
+        cc = compile_circuit(c)
+        prob_kernel = cc.cell_prob[cell.index]
+        density_kernel = cc.cell_density[cell.index]
+        in_topo = cell.index in cc.topo  # a DFF never is
+        for probs, dens in self._cases(n, random.Random(n)):
+            p = [0.5] * cc.n_nets
+            d = [0.0] * cc.n_nets
+            for net, pv, dv in zip(ins, probs, dens):
+                p[net], d[net] = pv, dv
+            got_p = prob_kernel(p)
+            got_d = density_kernel(p, d)
+            if in_topo:
+                flat_p, flat_d = list(p), list(d)
+                cc.prob_pass(flat_p)
+                cc.density_pass(p, flat_d)
+                assert got_p == tuple(flat_p[o] for o in cell.outputs)
+                assert got_d == tuple(flat_d[o] for o in cell.outputs)
+            ref_p = signal_probabilities_reference(c, dict(zip(ins, probs)))
+            ref_d = transition_densities_reference(
+                c, dict(zip(ins, dens)), dict(zip(ins, probs))
+            )
+            for k, out in enumerate(cell.outputs):
+                assert got_p[k] == pytest.approx(ref_p[out], abs=TOL, rel=TOL)
+                assert got_d[k] == pytest.approx(ref_d[out], abs=TOL, rel=TOL)
 
 
 def _exhaustive_probability(circuit: Circuit, net: int) -> float:

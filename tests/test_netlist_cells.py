@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.netlist.cells import (
     COMBINATIONAL_KINDS,
-    INPUT_ARITY,
-    OUTPUT_COUNT,
+    KIND_TABLE,
     Cell,
     CellKind,
     SEQUENTIAL_KINDS,
@@ -70,13 +69,14 @@ class TestKindMetadata:
         assert not COMBINATIONAL_KINDS & SEQUENTIAL_KINDS
 
     def test_every_kind_has_metadata(self):
-        for kind in CellKind:
-            assert kind in OUTPUT_COUNT
-            assert kind in INPUT_ARITY
+        assert set(KIND_TABLE) == set(CellKind)
 
     def test_two_output_kinds(self):
-        assert OUTPUT_COUNT[CellKind.FA] == 2
-        assert OUTPUT_COUNT[CellKind.HA] == 2
+        assert KIND_TABLE[CellKind.FA].n_out == 2
+        assert KIND_TABLE[CellKind.HA].n_out == 2
+        assert {k for k, r in KIND_TABLE.items() if r.n_out != 1} == {
+            CellKind.FA, CellKind.HA,
+        }
 
     def test_check_arity_accepts_legal(self):
         check_arity(CellKind.FA, 3, 2)
@@ -97,6 +97,24 @@ class TestKindMetadata:
     def test_check_arity_rejects_illegal(self, kind, n_in, n_out):
         with pytest.raises(ValueError):
             check_arity(kind, n_in, n_out)
+
+    @pytest.mark.parametrize(
+        "kind,values,message",
+        [
+            (CellKind.NOT, [0, 1], "NOT takes exactly 1 inputs, got 2"),
+            (CellKind.AND, [], "AND needs at least one input"),
+            (CellKind.BUF, [], "BUF takes exactly 1 inputs, got 0"),
+        ],
+    )
+    def test_evaluate_kind_rejects_wrong_input_count(
+        self, kind, values, message
+    ):
+        with pytest.raises(ValueError) as exc:
+            evaluate_kind(kind, values)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc_arity:
+            check_arity(kind, len(values), KIND_TABLE[kind].n_out)
+        assert str(exc_arity.value) == message
 
 
 class TestCellDataclass:

@@ -4,12 +4,12 @@ from itertools import product
 
 import pytest
 
-from repro.netlist.cells import INPUT_ARITY, OUTPUT_COUNT, CellKind, _EVALUATORS
+from repro.netlist.cells import KIND_TABLE, CellKind
 from repro.netlist.circuit import Circuit
-from repro.netlist.compiled import _fuse_bits, compile_circuit
+from repro.netlist.compiled import _fuse, compile_circuit
 from repro.sim.delays import LoadDelay, SumCarryDelay, UnitDelay
 
-from tests.conftest import random_dag_circuit
+from tests.conftest import KIND_SPEC, kernel_cases, random_dag_circuit
 
 
 class TestCompileMemoization:
@@ -157,22 +157,16 @@ class TestEvaluateFlat:
             c.evaluate([0], {99: 0})
 
 
-def _kernel_cases():
-    """(kind, arity) for every kind: n-ary kinds at arities 1..5."""
-    for kind in CellKind:
-        arity = INPUT_ARITY[kind]
-        for n in range(1, 6) if arity is None else (arity,):
-            yield kind, n
-
-
 class TestLaneKernelsMatchCellEvaluators:
-    """The fused lane kernels against the independent cells.py tables.
+    """The fused lane kernels against an independent per-kind spec.
 
     The event-driven engine, functional evaluation and both batch
-    engines all evaluate cells through ``_fuse_bits`` kernels, so this
-    is the check that ties them to the reference semantics.  Input nets
-    are spread over a wider array (other slots hold junk) so a kernel
-    that reads the wrong index fails.
+    engines all evaluate cells through lane kernels printed from
+    ``KIND_TABLE``, so this is the check that ties them to the
+    reference semantics (:data:`tests.conftest.KIND_SPEC`, written
+    without the table).  Input nets are spread over a wider array
+    (other slots hold junk) so a kernel that reads the wrong index
+    fails.
     """
 
     @staticmethod
@@ -181,20 +175,20 @@ class TestLaneKernelsMatchCellEvaluators:
         return nets, 2 * n + 1
 
     @pytest.mark.parametrize(
-        "kind,n", list(_kernel_cases()),
+        "kind,n", list(kernel_cases()),
         ids=lambda v: v.value if isinstance(v, CellKind) else str(v),
     )
     def test_single_lane_exhaustive(self, kind, n):
         nets, size = self._layout(n)
-        kernel = _fuse_bits(kind, nets)
+        kernel = _fuse(kind, nets)
         for combo in product((0, 1), repeat=n):
             values = [1] * size
             for net, bit in zip(nets, combo):
                 values[net] = bit
-            assert kernel(values, 1) == _EVALUATORS[kind](combo), combo
+            assert kernel(values, 1) == KIND_SPEC[kind](combo), combo
 
     @pytest.mark.parametrize(
-        "kind,n", list(_kernel_cases()),
+        "kind,n", list(kernel_cases()),
         ids=lambda v: v.value if isinstance(v, CellKind) else str(v),
     )
     def test_lane_packed_exhaustive(self, kind, n):
@@ -207,10 +201,10 @@ class TestLaneKernelsMatchCellEvaluators:
         bits = [mask] * size
         for pin, net in enumerate(nets):
             bits[net] = sum(c[pin] << k for k, c in enumerate(combos))
-        outs = _fuse_bits(kind, nets)(bits, mask)
-        assert len(outs) == OUTPUT_COUNT[kind]
+        outs = _fuse(kind, nets)(bits, mask)
+        assert len(outs) == KIND_TABLE[kind].n_out
         for out in outs:
             assert out & ~mask == 0
         for k, combo in enumerate(combos):
             lane = tuple((out >> k) & 1 for out in outs)
-            assert lane == _EVALUATORS[kind](combo), (k, combo)
+            assert lane == KIND_SPEC[kind](combo), (k, combo)

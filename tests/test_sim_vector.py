@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.activity import ActivityRun
-from repro.netlist.cells import CellKind
+from repro.netlist.cells import CellKind, lane_kernel
+from repro.netlist.compiled import _fuse
 from repro.sim.backends import (
     BackendUnavailableError,
     BitParallelBackend,
@@ -44,7 +45,7 @@ from repro.sim.delays import (
 )
 from repro.sim.vector import VectorBackend, numpy_available
 
-from tests.conftest import random_dag_circuit
+from tests.conftest import kernel_cases, random_dag_circuit
 
 needs_numpy = pytest.mark.skipif(
     not numpy_available(),
@@ -298,6 +299,47 @@ class TestFarmWorkload:
         full = ActivityRun(circuit, backend="vector").run(iter(vectors))
         assert full.cycles == 20
         assert full.total_transitions > 0
+
+
+@needs_numpy
+class TestGroupOps:
+    """The vector backend's per-group op is the table's lane form."""
+
+    @pytest.mark.parametrize(
+        "kind,n", list(kernel_cases()),
+        ids=lambda v: v.value if isinstance(v, CellKind) else str(v),
+    )
+    def test_group_op_matches_int_lane_kernel(self, kind, n):
+        import numpy as np
+
+        rng = random.Random(n)
+        nb, rows = 64 + 37, 3  # two words, the last one partial
+        Mw = np.array([2**64 - 1, 2**37 - 1], dtype=np.uint64)
+        lanes = [
+            [rng.getrandbits(nb) for _ in range(rows)] for _ in range(n)
+        ]
+        ins = [
+            np.array(
+                [[v & (2**64 - 1), v >> 64] for v in pin], dtype=np.uint64
+            )
+            for pin in lanes
+        ]
+        ins_before, mask_before = [a.copy() for a in ins], Mw.copy()
+        outs = lane_kernel(kind, n)(ins, Mw)
+        assert all(np.array_equal(a, b) for a, b in zip(ins, ins_before))
+        assert np.array_equal(Mw, mask_before)
+
+        int_kernel = _fuse(kind, tuple(range(n)))
+        for r in range(rows):
+            want = int_kernel([pin[r] for pin in lanes], 2**nb - 1)
+            assert len(outs) == len(want)
+            for out, w in zip(outs, want):
+                words = np.broadcast_to(
+                    np.asarray(out, dtype=np.uint64), (rows, 2)
+                )[r]
+                got = int(words[0]) | int(words[1]) << 64
+                for k in range(nb):
+                    assert (got >> k) & 1 == (w >> k) & 1, (r, k)
 
 
 class TestWithoutNumpy:
